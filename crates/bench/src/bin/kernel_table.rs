@@ -1,6 +1,8 @@
 //! **E6 / per-kernel breakdown:** the SLAMBench-style kernel timing table
 //! (ICRA'15 methodology the poster summarises) — modelled milliseconds per
-//! kernel per frame on each catalogue device, plus host wall time.
+//! kernel per frame on each catalogue device. Stdout carries only the
+//! modelled figures, so it is the same on every run and host; the
+//! measured host profile and wall time go to stderr.
 //!
 //! Run with `cargo run --release -p bench --bin kernel_table`.
 
@@ -82,8 +84,8 @@ fn main() {
     println!("{}", fps.render());
 
     // the same table measured on this host, derived from the traced
-    // run's aggregated per-kernel profile (informational only; the
-    // figures above use the device model)
+    // run's aggregated per-kernel profile: informational only, and
+    // printed on stderr because it changes from run to run
     let mut host = Table::new(vec![
         "kernel".into(),
         "host ms/frame".into(),
@@ -102,10 +104,9 @@ fn main() {
             ),
         ]);
     }
-    println!("== measured host profile (slam-trace) ==");
-    println!("{}", host.render());
-
-    println!(
+    eprintln!("== measured host profile (slam-trace) ==");
+    eprintln!("{}", host.render());
+    eprintln!(
         "host wall time: {:.1} ms/frame (informational only; figures use the device model)",
         run.wall_seconds() / frames as f64 * 1e3
     );

@@ -90,14 +90,6 @@ pub struct ExplorationResult {
     pub pareto_front: Vec<Evaluation>,
 }
 
-impl ExplorationResult {
-    /// The evaluations added by active learning (after the initial
-    /// design).
-    pub fn active_evaluations(&self) -> &[Evaluation] {
-        &self.evaluations[self.initial_count.min(self.evaluations.len())..]
-    }
-}
-
 /// A multi-objective active learner over a [`ParameterSpace`].
 #[derive(Debug, Clone)]
 pub struct ActiveLearner {

@@ -27,11 +27,11 @@
 //! same way no matter how many threads ran, and every kernel output is
 //! bit-identical across thread counts (including 1).
 //!
-//! Kernels submit through one call each: [`trace_tasks`] and
-//! [`run_bands`] return results in submission / band order, and
-//! [`reduce_tasks`], [`sum_tasks`] and [`reduce_bands`] fold them in
-//! that order. Every one takes the kernel's `&Tracer` and a band-span
-//! name; with [`Tracer::off`] it is a plain [`run_tasks`] underneath.
+//! Kernels submit through one of two calls: [`run_tasks`] returns its
+//! results in submission order and [`run_bands`] in band order, and the
+//! caller folds them in that order (`.into_iter().sum()` or
+//! `.into_iter().fold(init, f)`). Both take a `&Tracer` and a band-span
+//! name; with [`Tracer::off`] the tasks run unwrapped.
 //!
 //! # Helping and thread budgets
 //!
@@ -213,6 +213,13 @@ pub fn effective_threads(requested: usize) -> usize {
 /// submission order. With `threads <= 1`, a single task, or no pool
 /// workers, the tasks simply run serially on the caller.
 ///
+/// With an enabled `tracer`, each task is wrapped in a `name`d
+/// [`SpanLevel::Band`](slam_trace::SpanLevel::Band) span recorded on
+/// whichever pool worker executes it, plus `pool.groups` / `pool.tasks`
+/// counter bumps. With a disabled tracer the tasks are submitted
+/// unwrapped (no wrapping, no allocation). Tracing never changes
+/// scheduling or results.
+///
 /// Every task runs as a pool job, serial or not. Once the caller has no
 /// task left to claim it waits for the others: inside a pool job it
 /// blocks; outside one it helps, running jobs of groups submitted from
@@ -222,46 +229,34 @@ pub fn effective_threads(requested: usize) -> usize {
 ///
 /// Panics from tasks are forwarded to the caller after all tasks of the
 /// group have finished.
-pub fn run_tasks<'a, R: Send>(threads: usize, tasks: Vec<Task<'a, R>>) -> Vec<R> {
-    pool().run_tasks(threads, tasks)
-}
-
-/// Like [`run_tasks`], with each task wrapped in a `name`d
-/// [`SpanLevel::Band`](slam_trace::SpanLevel::Band) span recorded on
-/// whichever pool worker executes it, plus `pool.groups` / `pool.tasks`
-/// counter bumps. With a disabled tracer this is exactly [`run_tasks`]
-/// (no wrapping, no allocation).
-///
-/// Tracing never changes scheduling or results: the wrappers run the
-/// original tasks unchanged and results still return in submission
-/// order.
-pub fn trace_tasks<'a, R: Send + 'a>(
+pub fn run_tasks<'a, R: Send + 'a>(
     tracer: &'a Tracer,
     name: &'static str,
     threads: usize,
-    tasks: Vec<Task<'a, R>>,
+    mut tasks: Vec<Task<'a, R>>,
 ) -> Vec<R> {
-    if !tracer.enabled() {
-        return run_tasks(threads, tasks);
+    if tracer.enabled() {
+        tracer.counter("pool.groups", 1);
+        tracer.counter("pool.tasks", tasks.len() as u64);
+        tasks = tasks
+            .into_iter()
+            .map(|task| {
+                Box::new(move || {
+                    let _band = tracer.band_span(name);
+                    task()
+                }) as Task<'a, R>
+            })
+            .collect();
     }
-    tracer.counter("pool.groups", 1);
-    tracer.counter("pool.tasks", tasks.len() as u64);
-    let tasks: Vec<Task<'a, R>> = tasks
-        .into_iter()
-        .map(|task| {
-            Box::new(move || {
-                let _band = tracer.band_span(name);
-                task()
-            }) as Task<'a, R>
-        })
-        .collect();
-    run_tasks(threads, tasks)
+    pool().run_tasks(threads, tasks)
 }
 
 /// Runs `f` over the canonical [`band_ranges`] of `0..n` with up to
-/// `threads` threads, each band in a `name`d span (see [`trace_tasks`]),
-/// and returns the per-band results **in band order**, ready for an
-/// ordered (deterministic) reduction by the caller.
+/// `threads` threads, each band in a `name`d span (see [`run_tasks`]),
+/// and returns the per-band results **in band order**. Folding them in
+/// that order (`.into_iter().sum()`, `.fold(…)`) associates any float
+/// accumulation the same way at every thread count, because the band
+/// layout depends only on `n`.
 pub fn run_bands<R, F>(
     tracer: &Tracer,
     name: &'static str,
@@ -278,76 +273,7 @@ where
         .into_iter()
         .map(|range| Box::new(move || f(range)) as Task<'_, R>)
         .collect();
-    trace_tasks(tracer, name, threads, tasks)
-}
-
-// --- blessed ordered reductions -------------------------------------
-//
-// Float addition is non-associative, so a parallel accumulation is
-// bit-identical run to run only if the reduction order is fixed. The
-// pool already returns results in submission/band order; these helpers
-// make the ordered fold part of the submission call itself, so the
-// contract is visible at every call site and the `float-reduce` lint
-// (`cargo xtask lint --explain XT201`) can enforce that no ad-hoc
-// reduction bypasses it.
-
-/// Runs `tasks` on the pool (with per-task spans and pool counters
-/// recorded into `tracer`, see [`trace_tasks`]) and folds the results
-/// **in submission order** with `fold`. The blessed way to aggregate
-/// task results.
-pub fn reduce_tasks<'a, R, A, F>(
-    tracer: &'a Tracer,
-    name: &'static str,
-    threads: usize,
-    tasks: Vec<Task<'a, R>>,
-    init: A,
-    fold: F,
-) -> A
-where
-    R: Send + 'a,
-    F: FnMut(A, R) -> A,
-{
-    trace_tasks(tracer, name, threads, tasks)
-        .into_iter()
-        .fold(init, fold)
-}
-
-/// Sums task results **in submission order**: [`reduce_tasks`] for the
-/// common additive case.
-pub fn sum_tasks<'a, R>(
-    tracer: &'a Tracer,
-    name: &'static str,
-    threads: usize,
-    tasks: Vec<Task<'a, R>>,
-) -> R
-where
-    R: Send + std::iter::Sum<R> + 'a,
-{
-    trace_tasks(tracer, name, threads, tasks).into_iter().sum()
-}
-
-/// Runs `f` over the canonical [`band_ranges`] of `0..n` (see
-/// [`run_bands`]) and folds the per-band results **in band order** with
-/// `fold`. Because the band layout depends only on `n`, the fold order
-/// — and therefore any float accumulation — is independent of the
-/// thread count.
-pub fn reduce_bands<R, A, F, G>(
-    tracer: &Tracer,
-    name: &'static str,
-    threads: usize,
-    n: usize,
-    f: F,
-    init: A,
-    fold: G,
-) -> A
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    run_bands(tracer, name, threads, n, f)
-        .into_iter()
-        .fold(init, fold)
+    run_tasks(tracer, name, threads, tasks)
 }
 
 /// The process-wide worker pool, created on first use with one worker
@@ -859,7 +785,7 @@ mod tests {
             let tasks: Vec<Task<'_, usize>> = (0..100usize)
                 .map(|i| Box::new(move || i * i) as Task<'_, usize>)
                 .collect();
-            let out = run_tasks(threads, tasks);
+            let out = run_tasks(Tracer::off(), "square", threads, tasks);
             assert_eq!(out, (0..100usize).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -875,7 +801,7 @@ mod tests {
                 Box::new(move || slice.iter().sum()) as Task<'_, u64>
             })
             .collect();
-        let partials = run_tasks(4, tasks);
+        let partials = run_tasks(Tracer::off(), "sum", 4, tasks);
         assert_eq!(partials.iter().sum::<u64>(), 499_500);
     }
 
@@ -923,7 +849,7 @@ mod tests {
                     }) as Task<'_, ()>
                 })
                 .collect();
-            run_tasks(4, tasks);
+            run_tasks(Tracer::off(), "panic", 4, tasks);
         });
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
@@ -1188,7 +1114,7 @@ mod tests {
                     }) as Task<'_, ()>
                 })
                 .collect();
-            run_tasks(available_threads(), tasks);
+            run_tasks(Tracer::off(), "names", available_threads(), tasks);
         }
         let seen = seen.into_inner().unwrap();
         // every participating thread is either the submitter or a

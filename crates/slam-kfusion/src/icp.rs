@@ -73,12 +73,8 @@ fn icp_iteration(
     let threads = slam_exec::effective_threads(config.threads);
     // merge the per-band partial systems in band order: the fixed band
     // layout makes the floating-point accumulation order canonical
-    let (ne, matched, total_valid) = slam_exec::reduce_bands(
-        tracer,
-        "track",
-        threads,
-        level.camera.height,
-        |rows| {
+    let (ne, matched, total_valid) =
+        slam_exec::run_bands(tracer, "track", threads, level.camera.height, |rows| {
             let mut ne = NormalEquations::<6>::new();
             let mut matched = 0usize;
             let mut total_valid = 0usize;
@@ -150,13 +146,15 @@ fn icp_iteration(
                 }
             }
             (ne, matched, total_valid)
-        },
-        (NormalEquations::<6>::new(), 0usize, 0usize),
-        |(mut ne, matched, total_valid), (band_ne, band_matched, band_valid)| {
-            ne.merge(&band_ne);
-            (ne, matched + band_matched, total_valid + band_valid)
-        },
-    );
+        })
+        .into_iter()
+        .fold(
+            (NormalEquations::<6>::new(), 0usize, 0usize),
+            |(mut ne, matched, total_valid), (band_ne, band_matched, band_valid)| {
+                ne.merge(&band_ne);
+                (ne, matched + band_matched, total_valid + band_valid)
+            },
+        );
     let pixels = level.camera.pixel_count() as f64;
     // association: transform + project + lookups + checks ≈ 40 ops/pixel;
     // matched pixels additionally accumulate a 6-dof row (~60 ops)

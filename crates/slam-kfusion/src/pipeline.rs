@@ -6,7 +6,7 @@ use crate::image::{DepthImage, Image2D};
 use crate::preprocess::{bilateral_filter, depth2vertex, half_sample, mm2meters, vertex2normal};
 use crate::raycast::{raycast, RaycastParams, RaycastResult};
 use crate::volume::{Volume, VolumeStorage};
-use crate::workload::{FrameWorkload, Kernel, Workload};
+use crate::workload::{FrameWorkload, Kernel};
 use slam_math::camera::PinholeCamera;
 use slam_math::Se3;
 use slam_trace::{Clock, Tracer, WallClock};
@@ -474,12 +474,6 @@ impl KinectFusion {
         };
         self.frame_index += 1;
         result
-    }
-
-    /// Convenience: total workload of a no-op query frame is zero; this
-    /// returns the zero workload for symmetry in reports.
-    pub fn idle_workload(&self) -> Workload {
-        Workload::ZERO
     }
 }
 

@@ -210,7 +210,9 @@ pub fn bilateral_filter(
         }
     }
     // ordered sum over the fixed band layout: deterministic
-    let ops: f64 = slam_exec::sum_tasks(tracer, "bilateral", threads, tasks);
+    let ops: f64 = slam_exec::run_tasks(tracer, "bilateral", threads, tasks)
+        .into_iter()
+        .sum();
     let n = (w * h) as f64;
     let window_reads = n * (side * side) as f64 * 4.0;
     (out, Workload::new(ops, window_reads + n * 4.0))
@@ -246,7 +248,7 @@ fn fill_rows<T: Copy + Send>(
         }));
     }
     let threads = slam_exec::effective_threads(threads);
-    slam_exec::trace_tasks(tracer, name, threads, tasks);
+    slam_exec::run_tasks(tracer, name, threads, tasks);
 }
 
 /// Depth-aware half-sampling for pyramid construction: averages the 2×2

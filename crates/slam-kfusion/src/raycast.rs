@@ -203,7 +203,9 @@ pub fn raycast<V: Volume + Sync + ?Sized>(
             }));
         }
     }
-    let total_steps: u64 = slam_exec::sum_tasks(tracer, "raycast", threads, tasks);
+    let total_steps: u64 = slam_exec::run_tasks(tracer, "raycast", threads, tasks)
+        .into_iter()
+        .sum();
     // per step: one trilinear sample (~30 ops, 8 voxel reads) — this is the
     // dominant cost; plus per-pixel setup and the gradient at the hit
     let ops = total_steps as f64 * 30.0 + (w * h) as f64 * 20.0;

@@ -852,14 +852,9 @@ impl TsdfVolume {
         }
         // ordered fold over the fixed band layout: deterministic (every
         // term is a whole number, so the sum is exact in any order)
-        let (ops, updated) = slam_exec::reduce_tasks(
-            tracer,
-            "integrate",
-            threads,
-            tasks,
-            (0.0, 0.0),
-            |(a, b), (o, u)| (a + o, b + u),
-        );
+        let (ops, updated) = slam_exec::run_tasks(tracer, "integrate", threads, tasks)
+            .into_iter()
+            .fold((0.0, 0.0), |(a, b), (o, u)| (a + o, b + u));
         for seam in seams {
             let layer = seam - 1..seam;
             derive_cells(&self.voxel_free, &mut self.cell_free, res, words, layer);

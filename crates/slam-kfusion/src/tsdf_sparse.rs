@@ -622,75 +622,69 @@ impl SparseTsdfVolume {
         let ex = pose.rotation() * Vec3::new(1.0, 0.0, 0.0);
         let ex_abs = Vec3::new(ex.x.abs(), ex.y.abs(), ex.z.abs());
         let src = depth.as_slice();
-        slam_exec::reduce_bands(
-            tracer,
-            "integrate_mark",
-            threads,
-            camera.height,
-            |rows| {
-                let mut bits = vec![0u64; words];
-                let mut ops = 0.0f64;
-                for y in rows {
-                    let row = &src[y * camera.width..(y + 1) * camera.width];
-                    for (seg, px) in row.chunks(MARK_SEGMENT).enumerate() {
-                        // depth range over the segment's valid pixels
-                        let mut d_min = f32::INFINITY;
-                        let mut d_max = 0.0f32;
-                        for &d in px {
-                            if d.is_finite() && d > 0.0 {
-                                d_min = d_min.min(d);
-                                d_max = d_max.max(d);
-                            }
-                        }
-                        ops += px.len() as f64 * 2.0;
-                        if d_max <= 0.0 {
-                            continue;
-                        }
-                        let xa = seg * MARK_SEGMENT;
-                        let xb = xa + px.len() - 1;
-                        let xc = 0.5 * (xa + xb) as f32;
-                        let half_px = 0.5 * (xb - xa) as f32;
-                        // steepest ray slope over the segment's footprint
-                        let slope_x = ((xa as f32 - camera.cx).abs())
-                            .max((xb as f32 - camera.cx).abs())
-                            / camera.fx;
-                        let slope_y = ((y as f32 - camera.cy).abs() + 0.5) / camera.fy;
-                        let slope = (slope_x + 0.5 / camera.fx).max(slope_y);
-                        let ray_x = (xc - camera.cx) / camera.fx;
-                        let ray_y = (y as f32 - camera.cy) / camera.fy;
-                        let z_min = (d_min - mu).max(0.0012);
-                        let z_max = d_max + mu;
-                        let mut z = z_min;
-                        while z < z_max + dz {
-                            let pw = pose.transform_point(Vec3::new(ray_x * z, ray_y * z, z));
-                            // isotropic margin: half a pixel of beam,
-                            // the z-step slack projected through the
-                            // steepest slope, a voxel of rounding
-                            // headroom — plus the segment's beam
-                            // half-width along the x-axis direction
-                            let m = 0.5 * (z + dz) * inv_f + (slope + 1.0) * 0.6 * dz + voxel;
-                            let beam = half_px * (z + dz) / camera.fx;
-                            let hw = Vec3::new(
-                                m + beam * ex_abs.x,
-                                m + beam * ex_abs.y,
-                                m + beam * ex_abs.z,
-                            );
-                            ops += 12.0;
-                            self.mark_box(&mut bits, pw, hw, brick_world);
-                            z += dz;
+        slam_exec::run_bands(tracer, "integrate_mark", threads, camera.height, |rows| {
+            let mut bits = vec![0u64; words];
+            let mut ops = 0.0f64;
+            for y in rows {
+                let row = &src[y * camera.width..(y + 1) * camera.width];
+                for (seg, px) in row.chunks(MARK_SEGMENT).enumerate() {
+                    // depth range over the segment's valid pixels
+                    let mut d_min = f32::INFINITY;
+                    let mut d_max = 0.0f32;
+                    for &d in px {
+                        if d.is_finite() && d > 0.0 {
+                            d_min = d_min.min(d);
+                            d_max = d_max.max(d);
                         }
                     }
+                    ops += px.len() as f64 * 2.0;
+                    if d_max <= 0.0 {
+                        continue;
+                    }
+                    let xa = seg * MARK_SEGMENT;
+                    let xb = xa + px.len() - 1;
+                    let xc = 0.5 * (xa + xb) as f32;
+                    let half_px = 0.5 * (xb - xa) as f32;
+                    // steepest ray slope over the segment's footprint
+                    let slope_x = ((xa as f32 - camera.cx).abs())
+                        .max((xb as f32 - camera.cx).abs())
+                        / camera.fx;
+                    let slope_y = ((y as f32 - camera.cy).abs() + 0.5) / camera.fy;
+                    let slope = (slope_x + 0.5 / camera.fx).max(slope_y);
+                    let ray_x = (xc - camera.cx) / camera.fx;
+                    let ray_y = (y as f32 - camera.cy) / camera.fy;
+                    let z_min = (d_min - mu).max(0.0012);
+                    let z_max = d_max + mu;
+                    let mut z = z_min;
+                    while z < z_max + dz {
+                        let pw = pose.transform_point(Vec3::new(ray_x * z, ray_y * z, z));
+                        // isotropic margin: half a pixel of beam,
+                        // the z-step slack projected through the
+                        // steepest slope, a voxel of rounding
+                        // headroom — plus the segment's beam
+                        // half-width along the x-axis direction
+                        let m = 0.5 * (z + dz) * inv_f + (slope + 1.0) * 0.6 * dz + voxel;
+                        let beam = half_px * (z + dz) / camera.fx;
+                        let hw = Vec3::new(
+                            m + beam * ex_abs.x,
+                            m + beam * ex_abs.y,
+                            m + beam * ex_abs.z,
+                        );
+                        ops += 12.0;
+                        self.mark_box(&mut bits, pw, hw, brick_world);
+                        z += dz;
+                    }
                 }
-                (bits, ops)
-            },
-            (vec![0u64; words], 0.0f64),
-            |(mut acc, ops), (bits, o)| {
-                for (a, b) in acc.iter_mut().zip(bits) {
-                    *a |= b;
-                }
-                (acc, ops + o)
-            },
-        )
+            }
+            (bits, ops)
+        })
+        .into_iter()
+        .fold((vec![0u64; words], 0.0f64), |(mut acc, ops), (bits, o)| {
+            for (a, b) in acc.iter_mut().zip(bits) {
+                *a |= b;
+            }
+            (acc, ops + o)
+        })
     }
 
     /// Sets the bits of every brick whose cell intersects the axis-
@@ -806,14 +800,9 @@ impl SparseTsdfVolume {
                 }));
             }
         }
-        slam_exec::reduce_tasks(
-            tracer,
-            "integrate",
-            threads,
-            tasks,
-            (0.0, 0.0),
-            |(a, b), (o, u)| (a + o, b + u),
-        )
+        slam_exec::run_tasks(tracer, "integrate", threads, tasks)
+            .into_iter()
+            .fold((0.0, 0.0), |(a, b), (o, u)| (a + o, b + u))
     }
 
     /// Appends the sparse v3 payload (`brick_side, brick_count`, then

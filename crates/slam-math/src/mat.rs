@@ -43,14 +43,6 @@ impl Mat3 {
         Mat3 { m }
     }
 
-    /// Creates a matrix whose rows are the given vectors.
-    #[inline]
-    pub fn from_row_vecs(r0: Vec3, r1: Vec3, r2: Vec3) -> Mat3 {
-        Mat3 {
-            m: [r0.to_array(), r1.to_array(), r2.to_array()],
-        }
-    }
-
     /// Creates a matrix whose columns are the given vectors.
     #[inline]
     pub fn from_col_vecs(c0: Vec3, c1: Vec3, c2: Vec3) -> Mat3 {

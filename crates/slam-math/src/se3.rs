@@ -90,14 +90,6 @@ impl Se3 {
         }
     }
 
-    /// A pure rotation.
-    pub fn from_rotation(r: Mat3) -> Se3 {
-        Se3 {
-            rotation: r,
-            translation: Vec3::ZERO,
-        }
-    }
-
     /// A rotation of `angle` radians about `axis` followed by translation `t`.
     pub fn from_axis_angle(axis: Vec3, angle: f32, t: Vec3) -> Se3 {
         Se3 {

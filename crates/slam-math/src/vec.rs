@@ -181,12 +181,6 @@ impl Vec3 {
         self.normalized().unwrap_or(Vec3::ZERO)
     }
 
-    /// Component-wise multiplication.
-    #[inline]
-    pub fn component_mul(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
-    }
-
     /// Component-wise absolute value.
     #[inline]
     pub fn abs(self) -> Vec3 {

@@ -5,8 +5,6 @@
 //!   with optional Horn alignment as in the TUM RGB-D / ICL-NUIM tools,
 //! * [`mod@rpe`] — relative pose error (drift per interval),
 //! * [`timing`] — per-frame and per-kernel time aggregation and FPS,
-//! * [`reconstruction`] — surface accuracy/completeness vs a reference
-//!   model (the ICL-NUIM-style 3-D model evaluation),
 //! * [`trajectory_io`] — TUM-format trajectory import/export,
 //! * [`report`] — plain-text tables used by the figure-regeneration
 //!   binaries.
@@ -28,7 +26,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod ate;
-pub mod reconstruction;
 pub mod report;
 pub mod rpe;
 pub mod timing;

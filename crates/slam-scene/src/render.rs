@@ -239,7 +239,12 @@ impl Renderer {
                 }));
             }
         }
-        slam_exec::run_tasks(slam_exec::effective_threads(0), tasks);
+        slam_exec::run_tasks(
+            slam_trace::Tracer::off(),
+            "render",
+            slam_exec::effective_threads(0),
+            tasks,
+        );
         RenderedFrame {
             width: w,
             height: h,

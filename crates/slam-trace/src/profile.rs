@@ -24,20 +24,6 @@ pub struct ProfileRow {
 }
 
 impl ProfileRow {
-    /// Mean span duration in seconds.
-    pub fn mean_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64 / 1e9
-        }
-    }
-
-    /// Median span duration in seconds.
-    pub fn median_secs(&self) -> f64 {
-        self.median_ns as f64 / 1e9
-    }
-
     /// Total duration in seconds.
     pub fn total_secs(&self) -> f64 {
         self.total_ns as f64 / 1e9

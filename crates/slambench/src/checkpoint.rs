@@ -224,11 +224,6 @@ impl<T> SweepProgress<T> {
             SweepProgress::Suspended { .. } => None,
         }
     }
-
-    /// Whether the sweep finished.
-    pub fn is_complete(&self) -> bool {
-        matches!(self, SweepProgress::Complete(_))
-    }
 }
 
 #[cfg(test)]
@@ -312,5 +307,99 @@ mod tests {
         };
         assert_eq!(r.x(), &[0.5, 0.25]);
         assert_eq!(r.objectives(), FAILED_OBJECTIVES.to_vec());
+    }
+
+    /// SplitMix64 (Steele, Lea & Flood 2014): a tiny seeded generator.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn mutated_checkpoints_load_as_none_or_round_trip() {
+        use crate::engine::EvalEngine;
+        use crate::explore::random_sweep_checkpointed;
+        use slam_scene::dataset::{DatasetConfig, SyntheticDataset};
+        let dir = std::env::temp_dir().join(format!("slambench-ckpt-fuzz-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // a real checkpoint, as a sweep writes it
+        let mut dc = DatasetConfig::tiny_test();
+        dc.frame_count = 3;
+        let dataset = SyntheticDataset::generate(&dc);
+        let mut ckpt = CheckpointOptions::new("seed");
+        ckpt.dir = dir.clone();
+        let device = slam_power::devices::odroid_xu3();
+        let swept = random_sweep_checkpointed(&EvalEngine::new(), &dataset, &device, 3, 5, &ckpt);
+        assert!(swept.complete().is_some());
+        let seed = std::fs::read(ckpt.path()).unwrap();
+        assert_eq!(load_checkpoint(&ckpt.path()).unwrap().completed.len(), 3);
+
+        // values a decoder must reject or carry through a re-save intact
+        const SPLICES: &[&str] = &[
+            "-1",
+            "1e400",
+            "18446744073709551616",
+            "null",
+            "\"\\ud800\"",
+            "[]",
+            "{}",
+        ];
+        let (mutant_path, resave_path) = (dir.join("mutant.json"), dir.join("resave.json"));
+        let mut rng = SplitMix64(0xc4ec_4901);
+        let mut accepted = 0usize;
+        for case in 0..20_000 {
+            let mut bytes = seed.clone();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(bytes.len() + 1);
+                match rng.below(5) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+                    1 => bytes.insert(at, rng.below(256) as u8),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    3 => bytes.truncate(at),
+                    _ => {
+                        // replace the text from `at` to the next
+                        // delimiter (a scalar value, often) by a splice
+                        let end = bytes[at..]
+                            .iter()
+                            .position(|b| b",}]".contains(b))
+                            .map_or(bytes.len(), |n| at + n);
+                        let splice = SPLICES[rng.below(SPLICES.len())].bytes();
+                        bytes.splice(at..end, splice);
+                    }
+                }
+            }
+            std::fs::write(&mutant_path, &bytes).unwrap();
+            let loaded = std::panic::catch_unwind(|| load_checkpoint(&mutant_path));
+            assert!(loaded.is_ok(), "mutant {case} panicked the loader");
+            let Ok(Some(cp)) = loaded else { continue };
+            accepted += 1;
+            assert!(
+                save_checkpoint(&resave_path, &cp),
+                "mutant {case}: re-save failed"
+            );
+            let back = load_checkpoint(&resave_path);
+            assert!(
+                back.as_ref()
+                    .is_some_and(|b| b.matches(&cp) && b.completed.len() == cp.completed.len()),
+                "mutant {case} was accepted but does not round-trip"
+            );
+        }
+        // byte flips inside strings and numbers survive: the loop
+        // exercises the accept path
+        assert!(accepted > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

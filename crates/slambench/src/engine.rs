@@ -618,7 +618,7 @@ impl EvalEngine {
                 })
                 .collect();
             let helped = slam_exec::helped_jobs();
-            miss_results = slam_exec::run_tasks(workers, tasks);
+            miss_results = slam_exec::run_tasks(Tracer::off(), "batch", workers, tasks);
             self.tracer
                 .counter("pool.helped", slam_exec::helped_jobs() - helped);
             let mut state = self.lock();

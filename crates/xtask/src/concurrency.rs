@@ -15,7 +15,7 @@
 //! keep such helpers single-lock.
 //!
 //! `pool-blocking` scans closures submitted to the worker pool — the
-//! argument list of a `run_tasks`-family call, or a `Box::new(…) as
+//! argument list of a `run_tasks` / `run_bands` call, or a `Box::new(…) as
 //! …Task` cast — for calls that park the worker: `sleep`, `.recv()`
 //! without a timeout, file IO (`fs::…`, `File`, `read_to_string`, …)
 //! and socket work (`TcpListener` / `TcpStream` / `UdpSocket`
@@ -29,14 +29,7 @@ use crate::lints::{Diagnostic, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Calls whose argument closures run on pool workers.
-const POOL_SUBMITTERS: &[&str] = &[
-    "run_tasks",
-    "run_bands",
-    "trace_tasks",
-    "sum_tasks",
-    "reduce_tasks",
-    "reduce_bands",
-];
+const POOL_SUBMITTERS: &[&str] = &["run_tasks", "run_bands"];
 
 /// Identifiers that block the calling thread. `recv` and `accept` are
 /// matched only as method calls (`.recv()` / `.accept()`);

@@ -1,144 +1,13 @@
-//! The determinism taint pass: `float-reduce` (XT201) and
-//! `entropy-source` (XT202).
-//!
-//! `float-reduce` flags ad-hoc reductions over worker-pool results. The
-//! pool returns results in submission/band order precisely so that float
-//! accumulation is bit-identical run to run, but that contract lives in
-//! the callee; the blessed ordered-reduction helpers in
-//! `slam_exec` (`sum_tasks`, `reduce_tasks`, `reduce_bands`) make it
-//! explicit at the call site and keep it machine-checked. Two shapes are detected:
-//!
-//! * direct chains: `slam_exec::trace_tasks(…).into_iter().sum()`
-//! * via a local binding: `let r = slam_exec::run_tasks(…); … r.iter().fold(…)`
+//! The determinism pass: `entropy-source` (XT202).
 //!
 //! `entropy-source` flags ambient time/randomness (`thread_rng`,
 //! `from_entropy`, `OsRng`, `rand::random`, `SystemTime`): every
 //! experiment must be replayable from its seed and injected clock.
+//! Reductions over worker-pool results need no lint: `slam_exec`
+//! returns them in submission/band order over a size-only band layout,
+//! so any in-order fold is bit-identical at every thread count.
 
 use crate::lints::{Diagnostic, SourceFile};
-
-/// The raw pool primitives whose results must be reduced through the
-/// blessed helpers.
-const POOL_CALLS: &[&str] = &["run_tasks", "run_bands", "trace_tasks"];
-
-/// Reduction adapters that fold many values into one.
-const REDUCERS: &[&str] = &["sum", "product", "fold", "reduce"];
-
-/// `float-reduce`: ad-hoc reductions over pool results.
-pub fn lint_float_reduce(src: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let toks = &src.tokens;
-    // pass 1: direct method chains off a pool call, plus recording of
-    // `let name = [slam_exec::]pool_call(…)` bindings
-    let mut bindings: Vec<String> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        let Some(ident) = t.ident() else { continue };
-        if !POOL_CALLS.contains(&ident) || !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        let close = skip_balanced(toks, i + 1, '(', ')');
-        if let Some((line, method)) = chain_reducer(toks, close) {
-            report(src, out, line, method);
-        }
-        if let Some(name) = binding_name(toks, i) {
-            bindings.push(name);
-        }
-    }
-    // pass 2: reductions reached through a recorded binding
-    if bindings.is_empty() {
-        return;
-    }
-    for (i, t) in toks.iter().enumerate() {
-        let Some(ident) = t.ident() else { continue };
-        if !bindings.iter().any(|b| b == ident) {
-            continue;
-        }
-        // skip the binding site itself (`let name = …`)
-        if i > 0 && (toks[i - 1].is_ident("let") || toks[i - 1].is_ident("mut")) {
-            continue;
-        }
-        if let Some((line, method)) = chain_reducer(toks, i + 1) {
-            report(src, out, line, method);
-        }
-    }
-}
-
-fn report(src: &SourceFile, out: &mut Vec<Diagnostic>, line: u32, method: &str) {
-    if src.in_test_span(line) || src.waived(line, "float-reduce") {
-        return;
-    }
-    out.push(Diagnostic {
-        lint: "float-reduce".into(),
-        file: src.path.clone(),
-        line,
-        message: format!(
-            "ad-hoc `.{method}(…)` over pool results: route the reduction through the \
-             ordered helpers in `slam_exec` (`sum_tasks`, `reduce_tasks`, \
-             `reduce_bands`) so the accumulation order stays explicit and \
-             bit-identical"
-        ),
-    });
-}
-
-/// If `toks[from..]` is a method chain (`. ident [::<…>] ( … )` repeated),
-/// returns the line and name of the first reducing method in it.
-fn chain_reducer(toks: &[crate::lexer::Token], mut i: usize) -> Option<(u32, &'static str)> {
-    while toks.get(i).is_some_and(|t| t.is_punct('.')) {
-        let t = toks.get(i + 1)?;
-        let method = t.ident()?;
-        if let Some(r) = REDUCERS.iter().find(|r| **r == method) {
-            return Some((t.line, r));
-        }
-        i += 2;
-        // turbofish: `::<f64>`
-        if toks.get(i).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct('<'))
-        {
-            i = skip_balanced(toks, i + 2, '<', '>');
-        }
-        if toks.get(i).is_some_and(|t| t.is_punct('(')) {
-            i = skip_balanced(toks, i, '(', ')');
-        }
-    }
-    None
-}
-
-/// If the pool call at token `call` is the initialiser of a `let`
-/// binding, returns the bound name. Looks back across an optional
-/// `slam_exec ::`-style path prefix for the pattern `let [mut] name = …`.
-fn binding_name(toks: &[crate::lexer::Token], call: usize) -> Option<String> {
-    let mut i = call;
-    // skip the path prefix: `slam_exec ::`
-    while i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':') {
-        i -= 2;
-        if i >= 1 && toks[i - 1].ident().is_some() {
-            i -= 1;
-        } else {
-            return None;
-        }
-    }
-    if i < 2 || !toks[i - 1].is_punct('=') {
-        return None;
-    }
-    // `let name =` or `let name : Ty =` — scan back over an optional type
-    // ascription to the `let`
-    let mut j = i - 1;
-    while j > 0 && !toks[j - 1].is_ident("let") {
-        j -= 1;
-        // a statement/block boundary means this `=` is plain assignment
-        if toks[j].is_punct(';') || toks[j].is_punct('{') || toks[j].is_punct('}') {
-            return None;
-        }
-    }
-    if j == 0 {
-        return None;
-    }
-    let mut name_at = j;
-    if toks.get(name_at).is_some_and(|t| t.is_ident("mut")) {
-        name_at += 1;
-    }
-    toks.get(name_at)?.ident().map(str::to_string)
-}
 
 /// Skips from an opening delimiter at `open` to just past its match.
 pub(crate) fn skip_balanced(toks: &[crate::lexer::Token], open: usize, o: char, c: char) -> usize {

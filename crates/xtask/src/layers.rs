@@ -68,14 +68,7 @@ pub const INTERNAL_RULES: &[InternalRule] = &[
         what: "exec pool protocol",
     },
     InternalRule {
-        symbols: &[
-            "run_tasks",
-            "run_bands",
-            "trace_tasks",
-            "sum_tasks",
-            "reduce_tasks",
-            "reduce_bands",
-        ],
+        symbols: &["run_tasks", "run_bands"],
         allowed: &[
             "crates/slam-exec/",
             "crates/slam-kfusion/",

@@ -7,7 +7,7 @@
 //! * per-file invariant lints ([`lints`], IDs `XT0xx`);
 //! * the crate-layer pass over the [`model`] workspace model
 //!   ([`layers`], `XT1xx`);
-//! * the determinism taint pass ([`determinism`], `XT2xx`);
+//! * the determinism pass ([`determinism`], `XT2xx`);
 //! * the concurrency pass ([`concurrency`], `XT3xx`).
 //!
 //! Findings carry stable IDs from the [`registry`]; any finding fails
@@ -43,7 +43,7 @@ pub fn lint_repo(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         ));
     }
     let mut out = Vec::new();
-    // per-file passes (invariants, determinism taint, pool-blocking)
+    // per-file passes (invariants, entropy-source, pool-blocking)
     for f in &model.files {
         out.extend(lints::lint_file(&f.src, walk::classify(&f.rel)));
     }

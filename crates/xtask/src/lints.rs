@@ -48,7 +48,7 @@
 //! ```
 //!
 //! The `reason:` clause is mandatory; a bare waiver is itself a finding.
-//! The determinism-taint and concurrency passes live in
+//! The determinism and concurrency passes live in
 //! [`crate::determinism`] and [`crate::concurrency`]; the crate-layer
 //! pass in [`crate::layers`] over the [`crate::model`] workspace model.
 
@@ -110,10 +110,6 @@ pub struct LintPolicy {
     /// `.expect(…)` and the `panic!` family are flagged even inside
     /// tests (`.unwrap()`/`.unwrap_err()` stay exempt).
     pub strict_test_panics: bool,
-    /// File may reduce pool results ad hoc: the exec pool itself (home of
-    /// the blessed ordered-reduction helpers) and test sources, whose
-    /// determinism suites deliberately re-derive reductions by hand.
-    pub allow_pool_reduce: bool,
     /// File may block inside pool-task closures: the exec pool internals
     /// and test sources (simulated stragglers legitimately sleep).
     pub allow_pool_blocking: bool,
@@ -131,7 +127,6 @@ impl LintPolicy {
             allow_network: false,
             require_deny_unsafe: false,
             strict_test_panics: false,
-            allow_pool_reduce: false,
             allow_pool_blocking: false,
         }
     }
@@ -232,9 +227,6 @@ pub fn lint_file(src: &SourceFile, policy: LintPolicy) -> Vec<Diagnostic> {
     }
     if !policy.allow_network {
         lint_network_boundary(src, &mut out);
-    }
-    if !policy.allow_pool_reduce {
-        crate::determinism::lint_float_reduce(src, &mut out);
     }
     crate::determinism::lint_entropy_source(src, &mut out);
     if !policy.allow_pool_blocking {

@@ -156,11 +156,6 @@ impl Model {
         }
         Ok(Model { crates, files })
     }
-
-    /// The crate record for a package name.
-    pub fn krate(&self, name: &str) -> Option<&CrateInfo> {
-        self.crates.iter().find(|c| c.name == name)
-    }
 }
 
 /// `slam-math` ↔ `slam_math`: manifest names use dashes, paths in code

@@ -1,12 +1,12 @@
 //! The lint registry: one entry per lint, with a stable diagnostic ID.
 //!
 //! IDs are grouped by pass family and never reused or renumbered (the
-//! retired XT005 `engine-only`, XT008 `algorithm-boundary` and XT010
-//! `volume-boundary` stay unassigned):
+//! retired XT005 `engine-only`, XT008 `algorithm-boundary`, XT010
+//! `volume-boundary` and XT201 `float-reduce` stay unassigned):
 //!
 //! * `XT0xx` — per-file invariant lints (the original regex-level checks)
 //! * `XT1xx` — workspace-model / crate-layer pass
-//! * `XT2xx` — determinism taint pass
+//! * `XT2xx` — determinism pass
 //! * `XT3xx` — concurrency pass
 //!
 //! The registry is the single source of truth for `--list`, `--explain`
@@ -133,8 +133,7 @@ pub const LINTS: &[LintInfo] = &[
         explain: "The exec pool's protocol types (`TaskGroup`, `PoolShared`, `Job`, \
                   `worker_loop`, `run_tasks_on`, `erase_lifetime`) may only be named \
                   inside `crates/slam-exec/`; the submission surface (`run_tasks`, \
-                  `run_bands`, `trace_tasks` and the ordered \
-                  reduction helpers) additionally inside the sanctioned submitters: \
+                  `run_bands`) additionally inside the sanctioned submitters: \
                   the kernels in `crates/slam-kfusion/`, the renderer in \
                   `crates/slam-scene/src/render.rs` and the batch scheduler in \
                   `crates/slambench/src/engine.rs`. Everything else drives parallelism \
@@ -150,20 +149,6 @@ pub const LINTS: &[LintInfo] = &[
                   compiled. The workspace model resolves `mod name;` declarations from \
                   each crate root (`lib.rs`, `main.rs`, `src/bin/*.rs`) and reports \
                   unreachable files.",
-    },
-    LintInfo {
-        id: "XT201",
-        name: "float-reduce",
-        summary: "reduce pool results through the ordered helpers in slam_exec",
-        explain: "Float addition is non-associative, so an accumulation over parallel \
-                  results is bit-identical only if the reduction order is fixed. The \
-                  pool already returns results in submission/band order; the ordered \
-                  reduction helpers (`sum_tasks`, `reduce_tasks`, `reduce_bands`) \
-                  make that contract explicit and keep it machine-checked. Ad-hoc \
-                  `.sum()` / `.fold()` / `.reduce()` / `.product()` chains over \
-                  `run_tasks` / `run_bands` / `trace_tasks` results — direct or via \
-                  a local binding — are flagged; route them through the helpers \
-                  instead.",
     },
     LintInfo {
         id: "XT202",
@@ -193,7 +178,7 @@ pub const LINTS: &[LintInfo] = &[
         name: "pool-blocking",
         summary: "no blocking calls (file IO, sleep, recv) inside pool tasks",
         explain: "A closure submitted to the worker pool (as an argument to \
-                  `run_tasks`-family calls, or via a `Box::new(…) as Task` cast) must \
+                  `run_tasks` / `run_bands`, or via a `Box::new(…) as Task` cast) must \
                   not block: `sleep`, un-timed-out `recv`, file IO (`fs::…`, `File`, \
                   `read_to_string`, …) and socket work (`TcpListener` / `TcpStream` / \
                   `UdpSocket` construction, `.accept()`) park a pool worker, \
@@ -211,7 +196,7 @@ pub fn by_name(name: &str) -> Option<&'static LintInfo> {
     LINTS.iter().find(|l| l.name == name)
 }
 
-/// Looks a lint up by stable ID (`XT201`) or name (`float-reduce`).
+/// Looks a lint up by stable ID (`XT202`) or name (`entropy-source`).
 pub fn by_id_or_name(key: &str) -> Option<&'static LintInfo> {
     LINTS.iter().find(|l| l.id == key || l.name == key)
 }
@@ -253,8 +238,15 @@ mod tests {
 
     #[test]
     fn lookup_by_id_and_name_agree() {
-        assert_eq!(by_id_or_name("XT201").map(|l| l.name), Some("float-reduce"));
-        assert_eq!(by_id_or_name("float-reduce").map(|l| l.id), Some("XT201"));
+        assert_eq!(
+            by_id_or_name("XT202").map(|l| l.name),
+            Some("entropy-source")
+        );
+        assert_eq!(by_id_or_name("entropy-source").map(|l| l.id), Some("XT202"));
+        assert!(
+            by_id_or_name("XT201").is_none(),
+            "retired IDs stay unassigned"
+        );
         assert!(by_id_or_name("XT999").is_none());
         assert_eq!(id_for("lock-order"), "XT301");
         assert_eq!(id_for("nonesuch"), "XT000");

@@ -125,10 +125,8 @@ pub fn classify(rel: &Path) -> LintPolicy {
         allow_network: is_test_source || p.starts_with(NETWORK_ALLOWLIST_PREFIX),
         require_deny_unsafe: is_crate_root,
         strict_test_panics: is_orchestrator,
-        // the exec pool is the home of the blessed ordered-reduction
-        // helpers and of the workers themselves; test sources re-derive
-        // reductions by hand and simulate stragglers on purpose
-        allow_pool_reduce: is_test_source || p.starts_with("crates/slam-exec/src/"),
+        // the exec pool's workers block by design; test sources simulate
+        // stragglers on purpose
         allow_pool_blocking: is_test_source || p.starts_with("crates/slam-exec/src/"),
     }
 }

@@ -322,3 +322,39 @@ fn lint_repo_rejects_roots_with_no_sources() {
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
     assert!(err.to_string().contains("no Rust sources"), "{err}");
 }
+
+/// The IDs of the `| XTnnn | …` table rows in `text`, in order.
+fn table_ids(text: &str) -> Vec<String> {
+    text.lines()
+        .filter_map(|line| line.strip_prefix("| XT"))
+        .map(|rest| format!("XT{}", rest.split('|').next().unwrap_or("").trim()))
+        .collect()
+}
+
+#[test]
+fn doc_lint_tables_list_exactly_the_registered_ids() {
+    // retiring or adding a rule must update the README lint table and
+    // the DESIGN §12 audit table in the same change
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |name: &str| std::fs::read_to_string(repo.join(name)).unwrap();
+    let design = read("DESIGN.md");
+    let start = design.find("\n## 12.").expect("DESIGN.md has a §12");
+    let end = start
+        + design[start..]
+            .find("\n## 13.")
+            .expect("DESIGN.md has a §13");
+    let registered: Vec<String> = xtask::registry::LINTS
+        .iter()
+        .map(|l| l.id.to_string())
+        .collect();
+    assert_eq!(
+        table_ids(&read("README.md")),
+        registered,
+        "README.md lint table"
+    );
+    assert_eq!(
+        table_ids(&design[start..end]),
+        registered,
+        "DESIGN.md §12 audit table"
+    );
+}
