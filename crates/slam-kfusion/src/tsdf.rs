@@ -191,61 +191,113 @@ pub(crate) fn floor(x: f32) -> f32 {
     }
 }
 
-/// Refreshes the free bits of voxels `x0 .. x0 + tsdf.len()` of one row
-/// in `bits`, that row's words: a voxel is free when it is observed with
-/// `tsdf == 1.0`. A word is written only when it changes, so the pages
-/// of rows no frame ever frees stay uncommitted.
-fn refresh_free_bits(tsdf: &[f32], weight: &[f32], x0: usize, bits: &mut [u64]) {
+/// Refreshes the summary bits of voxels `x0 .. x0 + tsdf.len()` of one
+/// row in `free` and `hot`, that row's words: a voxel is free when it is
+/// observed with `tsdf == 1.0` and hot when it is observed with any other
+/// value, NaN included. A word is written only when it changes, so the
+/// pages of rows no frame ever frees (or heats) stay uncommitted.
+/// Returns whether any bit changed.
+fn refresh_free_bits(
+    tsdf: &[f32],
+    weight: &[f32],
+    x0: usize,
+    free: &mut [u64],
+    hot: &mut [u64],
+) -> bool {
     let x1 = x0 + tsdf.len();
     let mut x = x0;
+    let mut changed = false;
     while x < x1 {
         let (k, lo) = (x / 64, x % 64);
         let n = (64 - lo).min(x1 - x);
-        let voxels = tsdf[x - x0..x - x0 + n].iter().zip(&weight[x - x0..]);
-        let mut free = 0u64;
-        for (i, (&t, &w)) in voxels.enumerate() {
-            free |= u64::from(w > 0.0 && t == 1.0) << i;
-        }
+        let voxels = x - x0..x - x0 + n;
+        let observed = mask_of(&weight[voxels.clone()], |w| w > 0.0);
+        let one = mask_of(&tsdf[voxels], |t| t == 1.0);
         let mask = (u64::MAX >> (64 - n)) << lo;
-        let word = bits[k] & !mask | free << lo;
-        if word != bits[k] {
-            bits[k] = word;
-        }
+        changed |= store_bits(&mut free[k], mask, (observed & one) << lo);
+        changed |= store_bits(&mut hot[k], mask, (observed & !one) << lo);
         x += n;
     }
+    changed
+}
+
+/// Bit `i` set where `test(values[i])` holds, for up to 64 values. Each
+/// group of eight packs into a byte with constant shifts, which compiles
+/// to vector compares; a variable shift per value does not.
+#[inline]
+fn mask_of(values: &[f32], test: impl Fn(f32) -> bool) -> u64 {
+    let mut groups = values.chunks_exact(8);
+    let mut bits = 0u64;
+    for (g, group) in (&mut groups).enumerate() {
+        let byte = (0..8).fold(0u8, |byte, i| byte | u8::from(test(group[i])) << i);
+        bits |= u64::from(byte) << (8 * g);
+    }
+    let at = values.len() - groups.remainder().len();
+    for (i, &v) in groups.remainder().iter().enumerate() {
+        bits |= u64::from(test(v)) << (at + i);
+    }
+    bits
+}
+
+/// Replaces the bits of `word` under `mask` by `bits`, writing the word
+/// only when it changes; returns whether it did.
+#[inline]
+fn store_bits(word: &mut u64, mask: u64, bits: u64) -> bool {
+    let new = *word & !mask | bits;
+    let changed = new != *word;
+    if changed {
+        *word = new;
+    }
+    changed
 }
 
 /// Derives the cell bits of cell layers `layers` from the voxel bits
-/// (both `(z, y, word)` order, `words` per row; `z` counts layers from
-/// the start of the slices, so a band can pass its own): the cell with
-/// lowest corner `(x, y, z)` is free when voxels `x` and `x + 1` of rows
-/// `(y, z)`, `(y + 1, z)`, `(y, z + 1)` and `(y + 1, z + 1)` all are, so
-/// cell layer `z` reads voxel layers `z` and `z + 1`. Cells on the far
-/// faces have no eight corners and stay clear, as do the padding bits
-/// past `x = res - 2`, since no voxel bit at or past `res` is ever set. A
-/// word is written only when it changes.
+/// (all `(z, y, word)` order, `words` per row; `z` counts layers from
+/// the start of the slices, so a band can pass its own). The cell with
+/// lowest corner `(x, y, z)` has as corners voxels `x` and `x + 1` of
+/// rows `(y, z)`, `(y + 1, z)`, `(y, z + 1)` and `(y + 1, z + 1)`, so
+/// cell layer `z` reads voxel layers `z` and `z + 1`. Its bit is set
+/// when no corner is hot and at least one is free: then every corner
+/// reads `1.0` and one is observed, exactly the cells
+/// [`TsdfVolume::read_cell`] answers with `Some(1.0)`. Cells on the far
+/// faces have no eight corners and stay clear; past `x = res - 2` the
+/// last word is masked, since a free voxel at `x = res - 1` beside the
+/// (never set) padding bits would otherwise set the cell at `res - 1`.
+///
+/// Only the cell rows with one of their four voxel rows flagged in
+/// `changed` (a flag per `(y, z)` row, same order) are derived: the
+/// others are already exact. A word is written only when it changes.
 fn derive_cells(
     voxel_free: &[u64],
-    cell_free: &mut [u64],
+    voxel_hot: &[u64],
+    cells: &mut [u64],
     res: usize,
     words: usize,
     layers: Range<usize>,
+    changed: &[bool],
 ) {
-    let row = |y: usize, z: usize| (z * res + y) * words;
+    // the cells `64·(words - 1) ..= res - 2` of the last word
+    let last = (1u64 << (res - 1 - 64 * (words - 1))) - 1;
     for z in layers {
         for y in 0..res - 1 {
-            let [r00, r10, r01, r11] = [(y, z), (y + 1, z), (y, z + 1), (y + 1, z + 1)]
-                .map(|(y, z)| &voxel_free[row(y, z)..row(y, z) + words]);
-            let out = &mut cell_free[row(y, z)..row(y, z) + words];
+            let rows = [(y, z), (y + 1, z), (y, z + 1), (y + 1, z + 1)].map(|(y, z)| z * res + y);
+            if !rows.iter().any(|&r| changed[r]) {
+                continue;
+            }
+            let rows = rows.map(|r| r * words..(r + 1) * words);
+            let [f00, f10, f01, f11] = rows.clone().map(|r| &voxel_free[r]);
+            let [h00, h10, h01, h11] = rows.map(|r| &voxel_hot[r]);
+            let at = (z * res + y) * words;
+            let out = &mut cells[at..at + words];
             // right to left, so bit 0 of the next word is at hand
-            let mut next = 0u64;
+            let (mut next_free, mut next_hot, mut mask) = (0u64, 0u64, last);
             for k in (0..words).rev() {
-                let a = r00[k] & r10[k] & r01[k] & r11[k];
-                let cells = a & (a >> 1 | next << 63);
-                if out[k] != cells {
-                    out[k] = cells;
-                }
-                next = a;
+                let free = f00[k] | f10[k] | f01[k] | f11[k];
+                let hot = h00[k] | h10[k] | h01[k] | h11[k];
+                let any_free = free | free >> 1 | next_free << 63;
+                let any_hot = hot | hot >> 1 | next_hot << 63;
+                store_bits(&mut out[k], u64::MAX, !any_hot & any_free & mask);
+                (next_free, next_hot, mask) = (free, hot, u64::MAX);
             }
         }
     }
@@ -368,10 +420,12 @@ fn first_true(n: usize, pred: impl Fn(usize) -> bool) -> usize {
 /// emit the gated value.
 ///
 /// Beside the voxels the volume keeps a derived **free-space summary**
-/// (never serialised): one bit per voxel, set when it is observed with
-/// `tsdf == 1.0`, and one bit per interpolation cell, set when all eight
-/// of its corners are. [`TsdfVolume::sample`] answers a free cell from
-/// one bit test, without reading voxels.
+/// (never serialised): two bits per voxel, *free* when it is observed
+/// with `tsdf == 1.0` and *hot* when it is observed with any other value
+/// (NaN included), and one bit per interpolation cell, set when every
+/// corner reads `1.0` and one is observed: no corner is hot and at least
+/// one is free. [`TsdfVolume::sample`] answers such a free cell from one
+/// bit test, without reading voxels.
 ///
 /// # Examples
 ///
@@ -415,10 +469,14 @@ pub struct TsdfVolume {
     weight: Vec<f32>,
     /// Bit words per `(y, z)` row, `ceil(resolution / 64)`.
     row_words: usize,
-    /// Free voxel bits, `(z, y, word)` order, `x = 64·word + bit`.
+    /// Free voxel bits (observed, `tsdf == 1.0`), `(z, y, word)` order,
+    /// `x = 64·word + bit`.
     voxel_free: Vec<u64>,
-    /// Free cell bits, indexed by the cell's lowest corner like
-    /// `voxel_free`.
+    /// Hot voxel bits (observed, any other `tsdf`, NaN included),
+    /// indexed like `voxel_free`.
+    voxel_hot: Vec<u64>,
+    /// Free cell bits (every corner reads `1.0`, one is observed),
+    /// indexed by the cell's lowest corner like `voxel_free`.
     cell_free: Vec<u64>,
 }
 
@@ -452,6 +510,7 @@ impl TsdfVolume {
             weight,
             row_words: words,
             voxel_free: vec![0; resolution * resolution * words],
+            voxel_hot: vec![0; resolution * resolution * words],
             cell_free: vec![0; resolution * resolution * words],
         }
     }
@@ -562,15 +621,28 @@ impl TsdfVolume {
     fn rebuild_summary(&mut self) {
         let (res, words) = (self.resolution, self.row_words);
         let rows = self.tsdf.chunks(res).zip(self.weight.chunks(res));
-        for ((t, w), bits) in rows.zip(self.voxel_free.chunks_mut(words)) {
-            refresh_free_bits(t, w, 0, bits);
+        let bits = self
+            .voxel_free
+            .chunks_mut(words)
+            .zip(self.voxel_hot.chunks_mut(words));
+        for ((t, w), (free, hot)) in rows.zip(bits) {
+            refresh_free_bits(t, w, 0, free, hot);
         }
         let layers = 0..res.saturating_sub(1);
-        derive_cells(&self.voxel_free, &mut self.cell_free, res, words, layers);
+        derive_cells(
+            &self.voxel_free,
+            &self.voxel_hot,
+            &mut self.cell_free,
+            res,
+            words,
+            layers,
+            &vec![true; res * res],
+        );
     }
 
     /// Whether the interpolation cell with lowest corner `(x, y, z)` is
-    /// free: all eight corners observed with `tsdf == 1.0`.
+    /// free: every corner reads `1.0` (free or unobserved) and at least
+    /// one is observed.
     #[inline]
     fn cell_is_free(&self, x: usize, y: usize, z: usize) -> bool {
         let word = self.cell_free[(z * self.resolution + y) * self.row_words + x / 64];
@@ -624,9 +696,10 @@ impl TsdfVolume {
     /// point is outside the volume or entirely unobserved (all eight
     /// neighbouring voxels have zero weight).
     ///
-    /// A free cell returns `1.0` from one bit test, without reading the
-    /// voxel arrays: the interpolation of eight `1.0` corners is
-    /// `1 + 0·t` at every level.
+    /// A free cell (every corner reads `1.0`, free or unobserved, and
+    /// one is observed) returns `1.0` from one bit test, without reading
+    /// the voxel arrays: the interpolation of eight `1.0` corners is
+    /// `1 + 0·t` at every level, exactly what the corner read returns.
     #[inline]
     pub fn sample(&self, p: Vec3) -> Option<f32> {
         let g = p * self.inv_voxel - Vec3::splat(0.5);
@@ -735,9 +808,10 @@ impl TsdfVolume {
     /// thread count, traced or not.
     ///
     /// Each row visits only the span of voxels the camera can reach
-    /// (see `row_span`) and refreshes the free bits of that span. Each
-    /// band then derives the cell bits of its z-layers but the last, and
-    /// the cell layers on the seams between bands follow them. The returned
+    /// (see `row_span`) and refreshes the voxel bits of that span. Each
+    /// band then re-derives the cell rows of its z-layers but the last
+    /// that touch a voxel row whose bits changed, and the cell layers on
+    /// the seams between bands follow them. The returned
     /// [`Workload`] still counts the full `res³` sweep, exactly as if
     /// every voxel had been visited.
     ///
@@ -782,11 +856,12 @@ impl TsdfVolume {
         let bands = slam_exec::band_ranges(res.div_ceil(BLOCK));
         // the first z-layer of every band but the first
         let seams: Vec<usize> = bands.iter().skip(1).map(|b| b.start * BLOCK).collect();
-        let mut tasks: Vec<slam_exec::Task<'_, (f64, f64)>> = Vec::new();
+        let mut tasks: Vec<slam_exec::Task<'_, (f64, f64, Vec<bool>)>> = Vec::new();
         {
             let mut t_rest: &mut [f32] = &mut self.tsdf;
             let mut w_rest: &mut [f32] = &mut self.weight;
             let mut f_rest: &mut [u64] = &mut self.voxel_free;
+            let mut h_rest: &mut [u64] = &mut self.voxel_hot;
             let mut c_rest: &mut [u64] = &mut self.cell_free;
             for band in bands {
                 let z0 = band.start * BLOCK;
@@ -794,16 +869,20 @@ impl TsdfVolume {
                 let (tsdf_chunk, t_next) = t_rest.split_at_mut(zn * slab);
                 let (weight_chunk, w_next) = w_rest.split_at_mut(zn * slab);
                 let (free_chunk, f_next) = f_rest.split_at_mut(zn * res * words);
+                let (hot_chunk, h_next) = h_rest.split_at_mut(zn * res * words);
                 let (cell_chunk, c_next) = c_rest.split_at_mut(zn * res * words);
                 t_rest = t_next;
                 w_rest = w_next;
                 f_rest = f_next;
+                h_rest = h_next;
                 c_rest = c_next;
                 tasks.push(Box::new(move || {
                     let mut ops: f64 = 0.0;
                     let mut updated: f64 = 0.0;
                     let mut scratch = SpanScratch::new();
-                    for row in 0..zn * res {
+                    // the rows whose voxel bits changed
+                    let mut changed = vec![false; zn * res];
+                    for (row, row_changed) in changed.iter_mut().enumerate() {
                         let (z, y) = (z0 + row / res, row % res);
                         // camera-frame position of the voxel centre at
                         // global x = 0 of this (y, z) row
@@ -814,7 +893,7 @@ impl TsdfVolume {
                         );
                         let row_base = world_to_cam.transform_point(row_world);
                         // voxels outside the span cannot change: skip
-                        // them, keep their free bits, count their ops
+                        // them, keep their summary bits, count their ops
                         let span = row_span(row_base, dx_cam, res, camera);
                         ops += skipped_ops(row_base, dx_cam, res, &span);
                         if span.is_empty() {
@@ -835,29 +914,44 @@ impl TsdfVolume {
                         );
                         ops += o;
                         updated += u;
-                        refresh_free_bits(
+                        let bits = row * words..(row + 1) * words;
+                        *row_changed = refresh_free_bits(
                             &tsdf_chunk[voxels.clone()],
                             &weight_chunk[voxels],
                             span.start,
-                            &mut free_chunk[row * words..(row + 1) * words],
+                            &mut free_chunk[bits.clone()],
+                            &mut hot_chunk[bits],
                         );
                     }
                     // a cell layer reads its own voxel layer and the next
                     // one, so the band's last cell layer waits for the
                     // next band's voxels
-                    derive_cells(free_chunk, cell_chunk, res, words, 0..zn - 1);
-                    (ops, updated)
+                    let layers = 0..zn - 1;
+                    derive_cells(
+                        free_chunk, hot_chunk, cell_chunk, res, words, layers, &changed,
+                    );
+                    (ops, updated, changed)
                 }));
             }
         }
         // ordered fold over the fixed band layout: deterministic (every
         // term is a whole number, so the sum is exact in any order)
-        let (ops, updated) = slam_exec::run_tasks(tracer, "integrate", threads, tasks)
-            .into_iter()
-            .fold((0.0, 0.0), |(a, b), (o, u)| (a + o, b + u));
+        let (mut ops, mut updated) = (0.0, 0.0);
+        let mut changed = Vec::with_capacity(res * res);
+        for (o, u, rows) in slam_exec::run_tasks(tracer, "integrate", threads, tasks) {
+            (ops, updated) = (ops + o, updated + u);
+            changed.extend(rows);
+        }
         for seam in seams {
-            let layer = seam - 1..seam;
-            derive_cells(&self.voxel_free, &mut self.cell_free, res, words, layer);
+            derive_cells(
+                &self.voxel_free,
+                &self.voxel_hot,
+                &mut self.cell_free,
+                res,
+                words,
+                seam - 1..seam,
+                &changed,
+            );
         }
         let voxels = (res * res * res) as f64;
         Workload::new(ops, voxels * 2.0 + updated * 16.0)
@@ -1067,7 +1161,11 @@ pub(crate) mod tests {
             let mut vol = TsdfVolume::new(33, 2.0);
             let w1 = vol.integrate(&depth, &cam, &pose, 0.2, 100.0, threads, Tracer::off());
             let w2 = vol.integrate(&depth, &cam, &pose, 0.2, 100.0, threads, Tracer::off());
-            let summary = (vol.voxel_free.clone(), vol.cell_free.clone());
+            let summary = (
+                vol.voxel_free.clone(),
+                vol.voxel_hot.clone(),
+                vol.cell_free.clone(),
+            );
             (vol.to_bytes(), summary, w1.ops.to_bits(), w2.ops.to_bits())
         };
         let reference = run(1);
@@ -1604,7 +1702,11 @@ pub(crate) mod tests {
         rebuilt.rebuild_summary();
         assert!(
             vol.voxel_free == rebuilt.voxel_free,
-            "{what}: voxel bits stale"
+            "{what}: free voxel bits stale"
+        );
+        assert!(
+            vol.voxel_hot == rebuilt.voxel_hot,
+            "{what}: hot voxel bits stale"
         );
         assert!(
             vol.cell_free == rebuilt.cell_free,
@@ -1779,7 +1881,8 @@ pub(crate) mod tests {
         let v3 = crate::volume::VolumeStorage::from_bytes(&v3).expect("v3 dump");
         let v3 = v3.as_dense().expect("dense dump").clone();
         for (what, back) in [("legacy", legacy), ("v3", v3)] {
-            assert!(back.voxel_free == vol.voxel_free, "{what}: voxel bits");
+            assert!(back.voxel_free == vol.voxel_free, "{what}: free bits");
+            assert!(back.voxel_hot == vol.voxel_hot, "{what}: hot bits");
             assert!(back.cell_free == vol.cell_free, "{what}: cell bits");
         }
     }
@@ -1830,7 +1933,8 @@ pub(crate) mod tests {
                 let want = filled.integrate(&depth, &cam, pose, mu, 100.0, threads, Tracer::off());
                 assert_eq!(got.ops.to_bits(), want.ops.to_bits(), "{what}: ops");
                 assert_eq!(got.bytes.to_bits(), want.bytes.to_bits(), "{what}: bytes");
-                assert!(zeroed.voxel_free == filled.voxel_free, "{what}: voxel bits");
+                assert!(zeroed.voxel_free == filled.voxel_free, "{what}: free bits");
+                assert!(zeroed.voxel_hot == filled.voxel_hot, "{what}: hot bits");
                 assert!(zeroed.cell_free == filled.cell_free, "{what}: cell bits");
                 let (got, got_work) =
                     raycast(&zeroed, &view, pose, &params, threads, Tracer::off());
@@ -1858,28 +1962,37 @@ pub(crate) mod tests {
     }
 
     /// Asserts every summary bit against its definition, read from the
-    /// voxels: a voxel bit is set iff the voxel is observed with
-    /// `tsdf == 1.0`, a cell bit iff all eight corners of a cell inside
-    /// the volume are; every padding bit is clear.
+    /// voxels: a free voxel bit is set iff the voxel is observed with
+    /// `tsdf == 1.0`, a hot one iff it is observed with any other value,
+    /// a cell bit iff no corner of a cell inside the volume is hot and at
+    /// least one is free; every padding bit is clear.
     fn assert_bits_follow_the_rule(vol: &TsdfVolume, what: &str) {
         let (res, words) = (vol.resolution, vol.row_words);
-        let free = |x: usize, y: usize, z: usize| {
-            let i = vol.index(x, y, z);
-            vol.weight[i] > 0.0 && vol.tsdf[i] == 1.0
-        };
+        let observed = |x: usize, y: usize, z: usize| vol.weight[vol.index(x, y, z)] > 0.0;
+        let free =
+            |x: usize, y: usize, z: usize| observed(x, y, z) && vol.tsdf[vol.index(x, y, z)] == 1.0;
+        let hot =
+            |x: usize, y: usize, z: usize| observed(x, y, z) && vol.tsdf[vol.index(x, y, z)] != 1.0;
         for z in 0..res {
             for y in 0..res {
                 for x in 0..64 * words {
                     let (k, bit) = ((z * res + y) * words + x / 64, x % 64);
-                    let voxel = x < res && free(x, y, z);
                     assert_eq!(
                         vol.voxel_free[k] >> bit & 1 != 0,
-                        voxel,
-                        "{what}: voxel bit {x}"
+                        x < res && free(x, y, z),
+                        "{what}: free voxel bit {x}"
+                    );
+                    assert_eq!(
+                        vol.voxel_hot[k] >> bit & 1 != 0,
+                        x < res && hot(x, y, z),
+                        "{what}: hot voxel bit {x}"
                     );
                     let inside = x + 1 < res && y + 1 < res && z + 1 < res;
+                    let corners =
+                        || (0..8).map(|i| (x + (i & 1), y + ((i >> 1) & 1), z + (i >> 2)));
                     let cell = inside
-                        && (0..8).all(|i| free(x + (i & 1), y + ((i >> 1) & 1), z + (i >> 2)));
+                        && !corners().any(|(x, y, z)| hot(x, y, z))
+                        && corners().any(|(x, y, z)| free(x, y, z));
                     assert_eq!(
                         vol.cell_free[k] >> bit & 1 != 0,
                         cell,
@@ -1919,6 +2032,10 @@ pub(crate) mod tests {
                 let other = run(threads);
                 assert!(
                     other.voxel_free == vol.voxel_free,
+                    "{res}³, {threads} threads"
+                );
+                assert!(
+                    other.voxel_hot == vol.voxel_hot,
                     "{res}³, {threads} threads"
                 );
                 assert!(
@@ -1964,6 +2081,127 @@ pub(crate) mod tests {
                     "{res}³ at {p}"
                 );
             }
+        }
+    }
+
+    /// Whether every sample near the corners of the cell with lowest
+    /// corner `(x, y, z)` reads `Some(1.0)` from `plain` (its summary
+    /// cleared, so it reads voxels); asserts that `vol` reads the same
+    /// bits there. Near each corner the sample weighs that corner by
+    /// ≈ 0.997, so a corner one ulp below `1.0` still shows.
+    fn reads_one(vol: &TsdfVolume, plain: &TsdfVolume, x: usize, y: usize, z: usize) -> bool {
+        let voxel = vol.voxel;
+        let mut all_one = true;
+        for i in 0..8 {
+            let t = |bit: usize| if i >> bit & 1 == 0 { 0.001 } else { 0.999 };
+            let at = |c: usize, bit: usize| (c as f32 + 0.5 + t(bit)) * voxel;
+            let p = Vec3::new(at(x, 0), at(y, 1), at(z, 2));
+            let (got, want) = (vol.sample(p), plain.sample(p));
+            assert_eq!(
+                got.map(f32::to_bits),
+                want.map(f32::to_bits),
+                "cell ({x},{y},{z}) at {p}"
+            );
+            all_one &= want == Some(1.0);
+        }
+        all_one
+    }
+
+    #[test]
+    fn cells_reading_one_answer_from_the_bit() {
+        let cam = PinholeCamera::tiny();
+        let size = 2.0;
+        let far = Image2D::new(cam.width, cam.height, 5.0f32);
+        // frusta whose edges cut the grid, so observed free space meets
+        // unobserved space inside the volume
+        let frames = [
+            // along +x from outside: frees whole rows up to x = res - 1
+            (
+                far.clone(),
+                Se3::look_at(Vec3::new(-1.0, 1.0, 1.0), Vec3::new(2.0, 1.3, 0.8), Vec3::Y),
+            ),
+            // from near a corner, facing the far one, onto a surface
+            (
+                structured_depth(&cam),
+                Se3::look_at(Vec3::splat(0.2), Vec3::splat(1.8), Vec3::Y),
+            ),
+            // from outside a face, slanted
+            (
+                far,
+                Se3::look_at(Vec3::new(1.0, 0.3, -0.5), Vec3::new(1.6, 1.4, 2.0), Vec3::Y),
+            ),
+        ];
+        // 33 pads its one word, 63 / 64 end the cells at bit 61 / 62,
+        // 65 has a second word with no cell, 100 straddles two words
+        let resolutions: &[usize] = if cfg!(miri) {
+            &[16]
+        } else {
+            &[33, 63, 64, 65, 100]
+        };
+        for &res in resolutions {
+            let mut vol = TsdfVolume::new(res, size);
+            for (depth, pose) in &frames {
+                vol.integrate(depth, &cam, pose, 0.15, 100.0, 2, Tracer::off());
+            }
+            assert_summary_exact(&vol, &format!("{res}³"));
+            // an observed NaN corner in the middle of free space
+            let corners = |x: usize, y: usize, z: usize| {
+                (0..8).map(move |i| (x + (i & 1), y + ((i >> 1) & 1), z + (i >> 2)))
+            };
+            let cells = (0..res - 1)
+                .flat_map(|z| (0..res - 1).flat_map(move |y| (0..res - 1).map(move |x| (x, y, z))));
+            let nan_cell = cells
+                .clone()
+                .find(|&(x, y, z)| {
+                    corners(x, y, z).all(|(x, y, z)| {
+                        let i = vol.index(x, y, z);
+                        vol.weight[i] > 0.0 && vol.tsdf[i] == 1.0
+                    })
+                })
+                .expect("a cell with eight free corners");
+            let nan_at = vol.index(nan_cell.0, nan_cell.1, nan_cell.2);
+            vol.tsdf[nan_at] = f32::NAN;
+            vol.rebuild_summary();
+            let mut plain = vol.clone();
+            plain.clear_summary();
+            let words = vol.row_words;
+            let (mut from_bit, mut beside_unobserved, mut unobserved, mut read) = (0, 0, 0, 0);
+            for z in 0..res {
+                for y in 0..res {
+                    for x in 0..64 * words {
+                        let k = (z * res + y) * words + x / 64;
+                        let bit = vol.cell_free[k] >> (x % 64) & 1 != 0;
+                        let what = format!("{res}³, cell ({x},{y},{z})");
+                        if x + 1 >= res || y + 1 >= res || z + 1 >= res {
+                            assert!(!bit, "{what}: set outside the grid");
+                            continue;
+                        }
+                        assert_eq!(bit, reads_one(&vol, &plain, x, y, z), "{what}");
+                        let weights = corners(x, y, z).map(|(x, y, z)| vol.voxel_weight(x, y, z));
+                        let observed = weights.filter(|&w| w > 0.0).count();
+                        match (bit, observed) {
+                            (true, 8) => from_bit += 1,
+                            (true, _) => beside_unobserved += 1,
+                            (false, 0) => unobserved += 1,
+                            (false, _) => read += 1,
+                        }
+                    }
+                }
+            }
+            let counts = [from_bit, beside_unobserved, unobserved, read];
+            assert!(counts.iter().all(|&n| n > 0), "{res}³: {counts:?}");
+            // the free cells reach the last cell of a row
+            let last = res - 2;
+            let any = cells
+                .filter(|&(x, _, _)| x == last)
+                .any(|(x, y, z)| vol.cell_is_free(x, y, z));
+            assert!(any, "{res}³: no free cell at x = {last}");
+            // every cell around the NaN corner reads NaN, from the voxels
+            let (x, y, z) = nan_cell;
+            assert!(!vol.cell_is_free(x, y, z), "{res}³: NaN cell free");
+            let centre = Vec3::new(x as f32 + 1.0, y as f32 + 1.0, z as f32 + 1.0) * vol.voxel;
+            let got = vol.sample(centre).expect("an observed cell");
+            assert!(got.is_nan(), "{res}³: NaN cell reads {got}");
         }
     }
 }

@@ -67,8 +67,9 @@ pub trait Volume {
     /// unit direction `dir`) the ray can advance from `p` without
     /// crossing any stored surface. `0.0` means "no hint". The dense
     /// backend gives none: its free-space summary already answers a
-    /// free step with one bit test, and a leap over free blocks was
-    /// measured slower, since such walks averaged under two steps.
+    /// step in a free cell (every corner reads `1.0`, one is observed)
+    /// with one bit test, and a leap over free blocks was measured
+    /// slower, since such walks averaged under two steps.
     fn free_space_skip(&self, p: Vec3, dir: Vec3) -> f32 {
         let _ = (p, dir);
         0.0

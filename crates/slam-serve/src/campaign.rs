@@ -755,4 +755,117 @@ mod tests {
         assert!(!specs[0].done);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Feeds mutants of a saved `Sweep` spec through `load_specs`: bit
+    /// flips, inserted, deleted and truncated bytes, and JSON values
+    /// replaced by out-of-range or ill-typed literals. Oracle: nothing
+    /// panics; every spec that loads re-saves and re-loads to the same
+    /// JSON; its dataset validates to `Ok` or a typed error, and a
+    /// campaign built from an invalid one is rejected before rendering.
+    #[test]
+    fn mutated_specs_load_as_skips_or_stable_specs() {
+        use crate::server::tests::SplitMix64;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let root =
+            std::env::temp_dir().join(format!("slam-serve-spec-fuzz-{}", std::process::id()));
+        let (dir, resaved) = (root.join("mutant"), root.join("resaved"));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut coarse = KFusionConfig::fast_test();
+        coarse.volume_resolution = 32;
+        let spec = CampaignSpec {
+            id: 7,
+            request: request(CampaignKind::Sweep {
+                configs: vec![KFusionConfig::fast_test(), coarse],
+            }),
+            done: false,
+        };
+        assert!(save_spec(&dir, &spec));
+        let path = spec_path(&dir, spec.id);
+        let seed = std::fs::read(&path).unwrap();
+        assert_eq!(load_specs(&dir).len(), 1, "the seed spec does not load");
+        let literals: [&[u8]; 7] = [
+            b"-1",
+            b"1e400",
+            b"18446744073709551616",
+            b"null",
+            br#""\ud800""#,
+            b"[]",
+            b"{}",
+        ];
+        let mutants = if cfg!(miri) { 12 } else { 20_000 };
+        let mut rng = SplitMix64(0x5bec_7a11);
+        let (mut accepted, mut invalid) = (0usize, 0usize);
+        for case in 0..mutants {
+            let mut bytes = seed.clone();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(bytes.len() + 1);
+                match rng.below(6) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+                    1 => bytes.insert(at, rng.below(256) as u8),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    3 => bytes.truncate(at),
+                    _ => {
+                        // the value after the first `:` from `at` on, up
+                        // to the next `,`, `}` or `]`, becomes a literal
+                        let Some(colon) = bytes[at..].iter().position(|&b| b == b':') else {
+                            continue;
+                        };
+                        let start = at + colon + 1;
+                        let len = bytes[start..]
+                            .iter()
+                            .position(|b| b",}]".contains(b))
+                            .unwrap_or(bytes.len() - start);
+                        let literal = literals[rng.below(literals.len())];
+                        bytes.splice(start..start + len, literal.iter().copied());
+                    }
+                }
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let what = format!("mutant {case}: {}", String::from_utf8_lossy(&bytes));
+            let Ok(loaded) = catch_unwind(|| load_specs(&dir)) else {
+                panic!("{what} panicked load_specs");
+            };
+            assert!(loaded.len() <= 1, "{what}: {} specs", loaded.len());
+            let Some(spec) = loaded.into_iter().next() else {
+                continue;
+            };
+            accepted += 1;
+            let _ = std::fs::remove_dir_all(&resaved);
+            assert!(save_spec(&resaved, &spec), "{what}: does not re-save");
+            let reloaded = load_specs(&resaved);
+            let json =
+                |s: &CampaignSpec| serde_json::to_string(s).expect("a saved spec serialises");
+            assert_eq!(reloaded.len(), 1, "{what}: does not re-load");
+            assert_eq!(
+                json(&reloaded[0]),
+                json(&spec),
+                "{what}: re-loads different"
+            );
+            let Ok(valid) = catch_unwind(|| spec.request.dataset.validate()) else {
+                panic!("{what} panicked validate");
+            };
+            if valid.is_err() {
+                invalid += 1;
+                let store = DatasetStore::new(Tracer::disabled());
+                let built = catch_unwind(AssertUnwindSafe(|| {
+                    Campaign::build(spec.id, spec.request.clone(), &store).map(|_| ())
+                }));
+                let Ok(built) = built else {
+                    panic!("{what} panicked Campaign::build");
+                };
+                assert!(built.is_err(), "{what}: an invalid dataset builds");
+                assert_eq!(store.rendered(), 0, "{what}: rendered");
+            }
+        }
+        if !cfg!(miri) {
+            // the loop reaches both sides of the parser and of `validate`
+            assert!(
+                accepted > 100 && invalid > 0,
+                "{accepted} accepted, {invalid} invalid"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
