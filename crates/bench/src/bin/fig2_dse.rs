@@ -8,37 +8,21 @@
 //!
 //! Run with `cargo run --release -p bench --bin fig2_dse`.
 //!
-//! Both sweeps checkpoint to `results/checkpoints/` as they go; rerun
-//! with `--resume` after an interrupted sweep to continue from the last
-//! checkpoint instead of restarting (bit-identical outcome, same seed).
-//! `--checkpoint-every N` tunes the checkpoint cadence (default 8).
+//! Every run lands in the disk cache under `results/cache/`; after an
+//! interrupted sweep, rerun the bin from the same directory and the
+//! finished runs come back as disk hits (bit-identical outcome, same
+//! seed). The random sweep is one engine batch, so its in-flight runs
+//! execute again.
 
 use bench::{exploration_camera, living_room_dataset, thresholds};
 use slam_dse::active::ActiveLearnerOptions;
 use slam_dse::Evaluation;
 use slam_metrics::report::{scatter_plot, Table};
 use slam_power::devices::odroid_xu3;
-use slambench::checkpoint::CheckpointOptions;
 use slambench::engine::EvalEngine;
 use slambench::explore::{
-    explore_checkpointed, random_sweep_checkpointed, ExploreOptions, MeasuredConfig,
+    explore_with_engine, random_sweep_with_engine, ExploreOptions, MeasuredConfig,
 };
-
-/// `--resume` and `--checkpoint-every N` from the command line.
-fn checkpoint_flags(label: &str) -> CheckpointOptions {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ckpt = CheckpointOptions::new(label);
-    ckpt.resume = args.iter().any(|a| a == "--resume");
-    if let Some(every) = args
-        .iter()
-        .position(|a| a == "--checkpoint-every")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        ckpt.every = every.max(1);
-    }
-    ckpt
-}
 
 fn to_points(ms: &[MeasuredConfig]) -> Vec<(f64, f64)> {
     ms.iter().map(|m| (m.runtime_s, m.max_ate_m)).collect()
@@ -66,16 +50,7 @@ fn main() {
 
     let engine = EvalEngine::with_disk_cache("results/cache");
     eprintln!("[1/2] random sampling ({random_n} configurations, parallel)...");
-    let random_sweep = random_sweep_checkpointed(
-        &engine,
-        &dataset,
-        &device,
-        random_n,
-        2018,
-        &checkpoint_flags("fig2_dse_random"),
-    )
-    .complete()
-    .expect("no stop_after configured");
+    let random_sweep = random_sweep_with_engine(&engine, &dataset, &device, random_n, 2018);
     if !random_sweep.quarantined.is_empty() {
         eprintln!("quarantined during random sweep:");
         for q in &random_sweep.quarantined {
@@ -100,15 +75,7 @@ fn main() {
         ..ExploreOptions::default()
     };
     options.learner.forest.trees = 24;
-    let outcome = explore_checkpointed(
-        &engine,
-        &dataset,
-        &device,
-        &options,
-        &checkpoint_flags("fig2_dse_active"),
-    )
-    .complete()
-    .expect("no stop_after configured");
+    let outcome = explore_with_engine(&engine, &dataset, &device, &options);
     if !outcome.quarantined.is_empty() {
         eprintln!("quarantined during active learning:");
         for q in &outcome.quarantined {

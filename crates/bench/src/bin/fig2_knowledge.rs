@@ -7,19 +7,18 @@
 //!
 //! Run with `cargo run --release -p bench --bin fig2_knowledge`.
 //!
-//! The sweep checkpoints to `results/checkpoints/` as it goes; rerun
-//! with `--resume` after an interruption to continue from the last
-//! checkpoint (bit-identical outcome, same seed). `--checkpoint-every N`
-//! tunes the cadence (default 8).
+//! Every run lands in the disk cache under `results/cache/`; after an
+//! interruption, rerun the bin from the same directory and the finished
+//! runs come back as disk hits (bit-identical outcome, same seed). The
+//! sweep is one engine batch, so its in-flight runs execute again.
 
 use bench::{exploration_camera, living_room_dataset, thresholds};
 use slam_dse::knowledge::{KnowledgeTree, LabelledConfigs};
 use slam_kfusion::AlgoId;
 use slam_power::devices::odroid_xu3;
-use slambench::checkpoint::CheckpointOptions;
 use slambench::config_space::space_for;
 use slambench::engine::EvalEngine;
-use slambench::explore::random_sweep_checkpointed;
+use slambench::explore::random_sweep_with_engine;
 
 fn main() {
     let frames = 25;
@@ -31,20 +30,7 @@ fn main() {
     let device = odroid_xu3();
     eprintln!("evaluating {samples} configurations (parallel)...");
     let engine = EvalEngine::with_disk_cache("results/cache");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ckpt = CheckpointOptions::new("fig2_knowledge_random");
-    ckpt.resume = args.iter().any(|a| a == "--resume");
-    if let Some(every) = args
-        .iter()
-        .position(|a| a == "--checkpoint-every")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        ckpt.every = every.max(1);
-    }
-    let sweep = random_sweep_checkpointed(&engine, &dataset, &device, samples, 4242, &ckpt)
-        .complete()
-        .expect("no stop_after configured");
+    let sweep = random_sweep_with_engine(&engine, &dataset, &device, samples, 4242);
     for q in &sweep.quarantined {
         eprintln!("quarantined: {q}");
     }

@@ -67,7 +67,8 @@ impl ActiveLearnerOptions {
 
 /// The batch evaluator's verdict in a resumable run: either the batch's
 /// objective vectors, or a request to suspend the loop at this batch
-/// boundary (checkpointing callers use this to end a session cleanly).
+/// boundary (callers that run an exploration a slice at a time use
+/// this to end a slice cleanly).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchEval {
     /// One objective vector per proposed configuration.
@@ -162,14 +163,15 @@ impl ActiveLearner {
 
     /// Like [`ActiveLearner::run_batched`], but the evaluator may answer
     /// a proposal batch with [`BatchEval::Suspend`] to stop the loop
-    /// cleanly at that batch boundary — the mechanism checkpointing
-    /// sweep drivers use to end a session without losing determinism.
+    /// cleanly at that batch boundary — the mechanism a sweep driver
+    /// uses to stop an exploration part-way without losing determinism.
     ///
     /// Returns the (possibly partial) result and whether the loop was
     /// suspended. A suspended loop consumed the RNG exactly as far as
     /// the evaluations it performed, so re-running with the same seed
-    /// and an evaluator that replays the recorded prefix reproduces the
-    /// remaining proposals bit-identically.
+    /// and an evaluator that answers the recorded prefix identically
+    /// (e.g. from a cache) reproduces the remaining proposals
+    /// bit-identically.
     pub fn run_batched_resumable(
         &mut self,
         budget: usize,

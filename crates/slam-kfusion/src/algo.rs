@@ -209,8 +209,8 @@ const ODOMETRY_SPACE: &[ParamDescriptor] = &[
 /// Stable identifier of a registered algorithm.
 ///
 /// The [`AlgoId::id`] string is part of the evaluation engine's
-/// content-addressed cache key and of checkpoint metadata — never
-/// change it for an existing variant.
+/// content-addressed cache key — never change it for an existing
+/// variant.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -228,8 +228,7 @@ impl AlgoId {
     /// Every registered algorithm, in declaration order.
     pub const ALL: [AlgoId; 2] = [AlgoId::KinectFusion, AlgoId::PointOdometry];
 
-    /// The stable string id used in cache keys, checkpoints and
-    /// reports.
+    /// The stable string id used in cache keys and reports.
     pub fn id(self) -> &'static str {
         match self {
             AlgoId::KinectFusion => "kfusion",

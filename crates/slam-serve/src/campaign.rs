@@ -11,15 +11,16 @@
 //! and the suite name. A campaign that builds is guaranteed evaluable.
 //!
 //! The campaign's spec (`{id, request, done}`) is persisted through the
-//! checkpoint layer's atomic-JSON helpers under
+//! engine's atomic-JSON helpers under
 //! `<state_dir>/campaigns/<id>.json` the moment it is accepted, and
 //! rewritten with `done: true` on any terminal phase — so a killed
 //! server finds exactly the in-flight campaigns on restart and rebuilds
 //! them from their requests. Work units are re-derived
-//! deterministically from the request (synthetic datasets and seeded
-//! samples regenerate bit-identically), and the engine's shared disk
-//! cache replays every pre-kill evaluation — including its recorded
-//! wall times — so resumed campaigns stream byte-identical outcomes.
+//! deterministically from the request (synthetic datasets, seeded
+//! samples and the seeded learner regenerate bit-identically), and the
+//! engine's shared disk cache replays every pre-kill evaluation —
+//! including its recorded wall times — so resumed campaigns stream
+//! byte-identical outcomes.
 
 use crate::datasets::DatasetStore;
 use crate::protocol::{
@@ -31,7 +32,7 @@ use slam_kfusion::{AlgoId, KFusionConfig};
 use slam_power::devices::{all_devices, by_name, odroid_xu3};
 use slam_power::DeviceModel;
 use slam_scene::dataset::{DatasetConfig, SyntheticDataset};
-use slambench::checkpoint::{load_json, save_json_atomic};
+use slambench::engine::{load_json, save_json_atomic};
 use slambench::explore::ExploreOptions;
 use slambench::suite::{adversarial_suite, standard_suite};
 use slambench::{decode_for, space_for};
@@ -63,9 +64,10 @@ pub enum Work {
         /// The slots, in streaming order.
         units: Vec<WorkUnit>,
     },
-    /// An active-learning exploration driven through the checkpointed
-    /// sweep loop (the proposals depend on earlier measurements, so
-    /// there is no up-front unit list).
+    /// An active-learning exploration, served a slice at a time through
+    /// [`explore_until`](slambench::explore::explore_until) (the
+    /// proposals depend on earlier measurements, so there is no
+    /// up-front unit list).
     Explore {
         /// The dataset explored over, shared through the hub's
         /// [`DatasetStore`].
@@ -96,7 +98,8 @@ pub struct Campaign {
     pub device: DeviceModel,
     /// The originating request, as persisted.
     pub request: CampaignRequest,
-    /// Total evaluations the campaign will produce.
+    /// Total evaluations the campaign will produce — for an
+    /// exploration, the most its learner's schedule can produce.
     pub total: usize,
     /// The evaluable work.
     pub work: Work,
@@ -280,12 +283,14 @@ impl Campaign {
                     slam_dse::active::ActiveLearnerOptions::default()
                 };
                 learner.seed = *seed;
+                // the initial design plus every iteration's batch
+                let schedule = learner.initial_samples + learner.iterations * learner.batch_size;
                 let options = ExploreOptions {
                     budget: *budget,
                     learner,
                     ..ExploreOptions::default()
                 };
-                (*budget, Work::Explore { dataset, options })
+                ((*budget).min(schedule), Work::Explore { dataset, options })
             }
         };
         Ok(Campaign {
@@ -339,14 +344,16 @@ impl Campaign {
     }
 
     /// Appends a quantum's outcomes to the log and advances the phase
-    /// (`Running`, or `Complete` once the log is full). Records arriving
-    /// after cancellation are dropped: the log never grows past what
-    /// the cancel point promised. Wakes every waiting reader.
-    pub fn append(&self, records: Vec<OutcomeRecord>) {
+    /// (`Running`, or `Complete` once the log is full or `ended` says
+    /// the work has nothing more to produce — an exploration whose
+    /// learner loop ended). Records arriving after cancellation are
+    /// dropped: the log never grows past what the cancel point
+    /// promised. Wakes every waiting reader.
+    pub fn append(&self, records: Vec<OutcomeRecord>, ended: bool) {
         let mut progress = self.lock_progress();
         if !progress.phase.is_terminal() {
             progress.outcomes.extend(records);
-            progress.phase = if progress.outcomes.len() >= self.total {
+            progress.phase = if ended || progress.outcomes.len() >= self.total {
                 CampaignPhase::Complete
             } else {
                 CampaignPhase::Running
@@ -472,7 +479,7 @@ pub fn save_spec(state_dir: &Path, spec: &CampaignSpec) -> bool {
 
 /// Loads every parseable campaign spec under `state_dir`, id order.
 /// Unreadable or corrupt files are skipped — the same tolerance policy
-/// as the sweep checkpoints.
+/// as the engine's disk cache.
 pub fn load_specs(state_dir: &Path) -> Vec<CampaignSpec> {
     let Ok(entries) = std::fs::read_dir(spec_dir(state_dir)) else {
         return Vec::new();
@@ -705,7 +712,7 @@ mod tests {
         assert!(campaign.wants_work());
         assert!(campaign.try_lease());
         assert!(!campaign.wants_work()); // leased
-        campaign.append(vec![record(0)]);
+        campaign.append(vec![record(0)], false);
         assert_eq!(campaign.phase(), CampaignPhase::Running);
         let (records, done) = campaign.page_from(0, false);
         assert_eq!(records.len(), 1);
@@ -714,7 +721,7 @@ mod tests {
         assert_eq!(status.phase, CampaignPhase::Cancelled);
         assert_eq!(status.completed, 1);
         // a late quantum after cancellation is dropped
-        campaign.append(vec![record(1)]);
+        campaign.append(vec![record(1)], false);
         let (records, done) = campaign.page_from(0, true);
         assert_eq!(records.len(), 1);
         assert!(done);
@@ -725,7 +732,7 @@ mod tests {
     #[test]
     fn completion_is_reached_exactly_at_total() {
         let campaign = build(1, request(CampaignKind::RandomSweep { n: 2, seed: 1 })).unwrap();
-        campaign.append(vec![record(0), record(1)]);
+        campaign.append(vec![record(0), record(1)], false);
         assert_eq!(campaign.phase(), CampaignPhase::Complete);
         let (records, done) = campaign.page_from(1, true);
         assert_eq!(records.len(), 1);

@@ -21,8 +21,9 @@
 //!   every campaign over it, held only as long as a campaign holds it.
 //! * [`campaign`] — campaign state machines: validation at the trust
 //!   boundary, unit expansion, per-campaign outcome logs, cancel flags,
-//!   and spec persistence through the checkpoint layer's atomic-JSON
-//!   helpers so a killed server resumes in-flight campaigns.
+//!   and spec persistence through the engine's atomic-JSON helpers so
+//!   a killed server resumes in-flight campaigns; their finished
+//!   evaluations come back from the shared disk cache.
 //! * [`scheduler`] — the [`CampaignHub`]: a
 //!   small executor pool that multiplexes runnable campaigns over the
 //!   shared worker pool in quantum-sized slices, interactive before

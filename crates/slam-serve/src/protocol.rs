@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use slam_kfusion::KFusionConfig;
 use slam_scene::dataset::DatasetConfig;
 use slambench::engine::{EngineStats, RunOutcome};
-use slambench::explore::MeasuredConfig;
+use slambench::explore::{MeasuredConfig, RecordedEval};
 use slambench::fault::QuarantinedConfig;
 use slambench::run::PipelineRun;
 
@@ -73,9 +73,10 @@ pub enum CampaignKind {
         seed: u64,
     },
     /// A HyperMapper-style active-learning exploration of the
-    /// algorithm's parameter space (budget evaluations), streaming each
-    /// measured point. Resumes from its sweep checkpoint across server
-    /// restarts.
+    /// algorithm's parameter space (at most `budget` evaluations, fewer
+    /// when the learner's schedule ends first), streaming each measured
+    /// point. Resumes across server restarts from the shared disk
+    /// cache.
     Explore {
         /// Total evaluation budget.
         budget: usize,
@@ -167,6 +168,24 @@ impl OutcomeRecord {
             status,
             run,
             measured: None,
+            quarantined,
+        }
+    }
+
+    /// Wraps one evaluation of an exploration as the record at `index`.
+    pub fn from_recorded(index: usize, eval: RecordedEval) -> Self {
+        let (status, measured, quarantined) = match eval {
+            RecordedEval::Measured(m) => (OutcomeStatus::Measured, Some(m), None),
+            RecordedEval::Failed { quarantined, .. } => {
+                (OutcomeStatus::Failed, None, Some(quarantined))
+            }
+        };
+        OutcomeRecord {
+            index,
+            sequence: None,
+            status,
+            run: None,
+            measured,
             quarantined,
         }
     }

@@ -18,12 +18,14 @@
 //! (a lease), in unit order.
 //!
 //! Persistence: campaign specs are saved on submit and marked done on
-//! any terminal phase; exploration campaigns additionally run through
-//! the sweep checkpoint layer (one checkpoint per campaign under
-//! `<state_dir>/checkpoints/`). [`CampaignHub::start`] reloads every
-//! non-done spec, so killing the process mid-campaign loses nothing but
-//! the current quantum — and even that re-evaluates from the shared
-//! disk cache bit-identically.
+//! any terminal phase, and every evaluation lands in the shared disk
+//! cache. [`CampaignHub::start`] reloads every non-done spec, so killing
+//! the process mid-campaign loses nothing but the current quantum — and
+//! even that re-evaluates from the shared disk cache bit-identically.
+//! An exploration is served by re-running its seeded learner a little
+//! further each quantum ([`explore_until`]): the engine's memory cache
+//! answers the evaluations already streamed, and after a restart the
+//! disk cache does.
 //!
 //! Datasets: every campaign — submitted or rebuilt on restart — takes
 //! its datasets from the hub's [`DatasetStore`], so one sequence is
@@ -31,12 +33,10 @@
 
 use crate::campaign::{load_specs, save_spec, Campaign, CampaignSpec, Work};
 use crate::datasets::DatasetStore;
-use crate::protocol::{OutcomeRecord, OutcomeStatus, Priority, ServerStatsReport, Submitted};
+use crate::protocol::{OutcomeRecord, Priority, ServerStatsReport, Submitted};
 use crate::shard::ShardedEngine;
 use slam_trace::Tracer;
-use slambench::checkpoint::{load_checkpoint, CheckpointOptions, RecordedEval};
-use slambench::explore::explore_checkpointed;
-use slambench::fault::FaultPolicy;
+use slambench::explore::explore_until;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -55,25 +55,24 @@ pub struct ServeOptions {
     /// Evaluations per scheduling quantum (minimum 1): the fairness
     /// granularity and the cancel/kill resolution.
     pub quantum: usize,
-    /// Server state directory: `cache/` (shared disk cache),
-    /// `campaigns/` (specs), `checkpoints/` (exploration sweeps).
+    /// Server state directory: `cache/` (shared disk cache) and
+    /// `campaigns/` (specs).
     pub state_dir: PathBuf,
-    /// Fault-tolerance policy applied to every engine shard.
-    pub policy: FaultPolicy,
     /// Tracer for `serve.*` counters and spans (disabled by default).
     pub tracer: Tracer,
 }
 
 impl ServeOptions {
-    /// Defaults: 2 shards, 2 executors, quantum 4, default fault
-    /// policy, disabled tracer.
+    /// Defaults: 2 shards, 2 executors, quantum 4, disabled tracer.
+    /// Every engine shard runs the default fault policy, which sets no
+    /// wall-clock deadline: a served exploration replays the same way
+    /// in every quantum.
     pub fn new(state_dir: impl Into<PathBuf>) -> ServeOptions {
         ServeOptions {
             shards: 2,
             executors: 2,
             quantum: 4,
             state_dir: state_dir.into(),
-            policy: FaultPolicy::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -154,7 +153,6 @@ impl CampaignHub {
         let engine = ShardedEngine::new(
             shards,
             &options.state_dir.join("cache"),
-            options.policy,
             options.tracer.clone(),
         );
         let datasets = DatasetStore::new(options.tracer.clone());
@@ -389,49 +387,31 @@ fn run_quantum(shared: &HubShared, campaign: &Campaign) {
                     break;
                 }
             }
-            campaign.append(records);
+            campaign.append(records, false);
         }
         Work::Explore { dataset, options } => {
-            let ckpt = CheckpointOptions {
-                dir: shared.state_dir.join("checkpoints"),
-                label: format!("campaign-{}", campaign.id),
-                every: 1,
-                resume: true,
-                stop_after: Some(start + shared.quantum),
-            };
             // an exploration is a sequential learner loop: pin it to
             // one shard (by campaign id, so concurrent explorations
-            // spread out) and let the checkpoint layer own its state
+            // spread out), whose cache answers the slices already
+            // streamed
             let shard = (campaign.id % shared.shards as u64) as usize;
             let engine = shared.engine.engine(campaign.algorithm, shard);
-            let _ = slam_exec::with_thread_budget(budget, || {
-                explore_checkpointed(engine, dataset, &campaign.device, options, &ckpt)
+            let (record, ended) = slam_exec::with_thread_budget(budget, || {
+                explore_until(
+                    engine,
+                    dataset,
+                    &campaign.device,
+                    options,
+                    start + shared.quantum,
+                )
             });
-            // stream whatever the checkpoint now holds beyond `start`
-            let mut records = Vec::new();
-            if let Some(checkpoint) = load_checkpoint(&ckpt.path()) {
-                for (index, eval) in checkpoint.completed.iter().enumerate().skip(start) {
-                    records.push(match eval {
-                        RecordedEval::Measured(m) => OutcomeRecord {
-                            index,
-                            sequence: None,
-                            status: OutcomeStatus::Measured,
-                            run: None,
-                            measured: Some(m.clone()),
-                            quarantined: None,
-                        },
-                        RecordedEval::Failed { quarantined, .. } => OutcomeRecord {
-                            index,
-                            sequence: None,
-                            status: OutcomeStatus::Failed,
-                            run: None,
-                            measured: None,
-                            quarantined: Some(quarantined.clone()),
-                        },
-                    });
-                }
-            }
-            campaign.append(records);
+            let records = record
+                .into_iter()
+                .enumerate()
+                .skip(start)
+                .map(|(index, eval)| OutcomeRecord::from_recorded(index, eval))
+                .collect();
+            campaign.append(records, ended);
         }
     }
     if campaign.phase().is_terminal() {
@@ -442,7 +422,7 @@ fn run_quantum(shared: &HubShared, campaign: &Campaign) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{CampaignKind, CampaignPhase, CampaignRequest};
+    use crate::protocol::{CampaignKind, CampaignPhase, CampaignRequest, OutcomeStatus};
     use slam_kfusion::KFusionConfig;
     use slam_scene::dataset::{DatasetConfig, SyntheticDataset};
 

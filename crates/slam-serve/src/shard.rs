@@ -31,7 +31,6 @@ use slam_kfusion::{AlgoId, KFusionConfig};
 use slam_scene::dataset::SyntheticDataset;
 use slam_trace::Tracer;
 use slambench::engine::{run_fingerprint, EngineStats, EvalEngine, EvalError, RunOutcome};
-use slambench::fault::FaultPolicy;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,14 +46,10 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Builds `shards` engines (minimum 1) for every registered
-    /// algorithm, all persisting to `disk_dir` and running under
-    /// `policy`. The tracer records cache traffic and cross-shard hits.
-    pub fn new(
-        shards: usize,
-        disk_dir: &Path,
-        policy: FaultPolicy,
-        tracer: Tracer,
-    ) -> ShardedEngine {
+    /// algorithm, all persisting to `disk_dir` and running under the
+    /// default fault policy. The tracer records cache traffic and
+    /// cross-shard hits.
+    pub fn new(shards: usize, disk_dir: &Path, tracer: Tracer) -> ShardedEngine {
         let shards = shards.max(1);
         let mut engines = BTreeMap::new();
         for algo in AlgoId::ALL {
@@ -62,7 +57,6 @@ impl ShardedEngine {
                 .map(|_| {
                     EvalEngine::with_disk_cache(disk_dir)
                         .with_algorithm(algo)
-                        .with_policy(policy)
                         .with_tracer(tracer.clone())
                 })
                 .collect();
@@ -93,8 +87,8 @@ impl ShardedEngine {
     }
 
     /// Direct access to one shard's engine — the warm-up and inspection
-    /// surface used by the scheduler (checkpointed explores run on a
-    /// single pinned shard) and the integration tests.
+    /// surface used by the scheduler (explorations run on a single
+    /// pinned shard) and the integration tests.
     ///
     /// # Panics
     ///
@@ -252,7 +246,7 @@ mod tests {
     #[test]
     fn routing_is_stable_and_ignores_threads() {
         let dir = tmp_dir("route");
-        let sharded = ShardedEngine::new(4, &dir, FaultPolicy::default(), Tracer::disabled());
+        let sharded = ShardedEngine::new(4, &dir, Tracer::disabled());
         let dataset = tiny_dataset(3);
         for config in configs() {
             let home = sharded.home_shard(AlgoId::KinectFusion, &dataset, &config);
@@ -270,7 +264,7 @@ mod tests {
     #[test]
     fn sharded_batch_matches_single_engine() {
         let dir = tmp_dir("match");
-        let sharded = ShardedEngine::new(3, &dir, FaultPolicy::default(), Tracer::disabled());
+        let sharded = ShardedEngine::new(3, &dir, Tracer::disabled());
         let dataset = tiny_dataset(3);
         let cfgs = configs();
         let outcomes = sharded
@@ -294,7 +288,7 @@ mod tests {
     #[test]
     fn warm_non_home_shard_is_a_cross_shard_hit() {
         let dir = tmp_dir("cross");
-        let sharded = ShardedEngine::new(2, &dir, FaultPolicy::default(), Tracer::disabled());
+        let sharded = ShardedEngine::new(2, &dir, Tracer::disabled());
         let dataset = tiny_dataset(3);
         let config = KFusionConfig::fast_test();
         let home = sharded.home_shard(AlgoId::KinectFusion, &dataset, &config);
@@ -324,7 +318,7 @@ mod tests {
     #[test]
     fn per_shard_stats_cover_all_algorithms() {
         let dir = tmp_dir("stats");
-        let sharded = ShardedEngine::new(2, &dir, FaultPolicy::default(), Tracer::disabled());
+        let sharded = ShardedEngine::new(2, &dir, Tracer::disabled());
         let dataset = tiny_dataset(3);
         let config = KFusionConfig::fast_test();
         for algo in AlgoId::ALL {
@@ -342,7 +336,7 @@ mod tests {
     #[test]
     fn invalid_config_rejected_before_any_execution() {
         let dir = tmp_dir("invalid");
-        let sharded = ShardedEngine::new(2, &dir, FaultPolicy::default(), Tracer::disabled());
+        let sharded = ShardedEngine::new(2, &dir, Tracer::disabled());
         let dataset = tiny_dataset(3);
         let mut bad = KFusionConfig::fast_test();
         bad.compute_size_ratio = 3;

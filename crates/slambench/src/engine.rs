@@ -249,13 +249,6 @@ fn key_hash(key: &RunKey) -> u64 {
     fnv1a(&bytes)
 }
 
-/// The content-address of a dataset as used by the engine's cache and
-/// the sweep checkpoints: resuming validates the checkpoint was taken
-/// against the same dataset.
-pub fn dataset_fingerprint(dataset: &SyntheticDataset) -> u64 {
-    dataset_id(dataset)
-}
-
 /// The stable 64-bit content address of one evaluation request — the
 /// same digest the engine uses for its cache keys and disk-cache file
 /// names. Exposed so shard routers can place a request on the shard
@@ -752,8 +745,7 @@ impl EvalEngine {
         if self.plan.injected_disk_error(key_hash(key), 0) {
             return None;
         }
-        let text = std::fs::read_to_string(path).ok()?;
-        let entry: DiskEntry = serde_json::from_str(&text).ok()?;
+        let entry: DiskEntry = load_json(&path)?;
         // verify the schema version, the full key and the run checksum: a
         // hash collision, truncated write, schema drift or an edited run
         // must read as a miss, never as a wrong answer
@@ -785,22 +777,42 @@ impl EvalEngine {
             checksum,
             run: run.clone(),
         };
-        let Ok(text) = serde_json::to_string(&entry) else {
-            return;
-        };
-        let Some(dir) = path.parent() else {
-            return;
-        };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        // write-then-rename so a crashed or concurrent writer can never
-        // leave a half-written file under the final name
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        save_json_atomic(&path, &entry);
     }
+}
+
+/// Loads JSON-persisted state, tolerantly: any IO or parse failure
+/// reads as "no state". The one loader under the disk cache and the
+/// `slam-serve` campaign store, so both share one tolerance policy.
+pub fn load_json<T: serde::Deserialize>(path: &Path) -> Option<T> {
+    let text = std::fs::read_to_string(path).ok()?;
+    serde_json::from_str(&text).ok()
+}
+
+/// Persists serialisable state atomically: it writes a temp file, then
+/// renames it over `path`, so a crashed or concurrent writer can never
+/// leave a half-written file under the final name. Best-effort: returns
+/// whether the save landed; a failed save is not an error, it only
+/// costs a warm start or a resume later.
+pub fn save_json_atomic<T: Serialize>(path: &Path, value: &T) -> bool {
+    let Ok(text) = serde_json::to_string(value) else {
+        return false;
+    };
+    let Some(dir) = path.parent() else {
+        return false;
+    };
+    if std::fs::create_dir_all(dir).is_err() {
+        return false;
+    }
+    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    if std::fs::write(&tmp, text).is_err() {
+        return false;
+    }
+    if std::fs::rename(&tmp, path).is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return false;
+    }
+    true
 }
 
 #[cfg(test)]

@@ -4,16 +4,18 @@
 //!
 //! The [`EvalEngine`] is the algorithm handle: every entry point
 //! explores the space of [`EvalEngine::algorithm`] (built from the
-//! algorithm's own parameter descriptor). The active and the random
-//! sweep each have one loop, shared by the plain and the checkpointed
-//! entry point.
+//! algorithm's own parameter descriptor). The active sweep has one
+//! loop, shared by [`explore_with_engine`] and [`explore_until`]; the
+//! random sweep is one engine batch.
+//!
+//! Both sweeps resume through the engine's disk cache alone: the
+//! learner and the sampler are seeded and their objectives are
+//! modelled, so running a sweep again on an engine over the same cache
+//! proposes the same configurations and serves every finished run as a
+//! disk hit.
 
-use crate::checkpoint::{
-    load_checkpoint, save_checkpoint, CheckpointOptions, RecordedEval, SweepCheckpoint,
-    SweepProgress,
-};
 use crate::config_space::{decode_for, encode_for, space_for};
-use crate::engine::{self, EvalEngine, RunOutcome};
+use crate::engine::{EvalEngine, RunOutcome};
 use crate::fault::QuarantinedConfig;
 use crate::run::PipelineRun;
 use serde::{Deserialize, Serialize};
@@ -22,7 +24,6 @@ use slam_dse::Evaluation;
 use slam_kfusion::KFusionConfig;
 use slam_power::DeviceModel;
 use slam_scene::dataset::SyntheticDataset;
-use std::collections::VecDeque;
 
 /// Objectives fed to the learner for a quarantined evaluation: a point
 /// so bad the optimiser steers away from the region without ever
@@ -93,6 +94,32 @@ impl MeasuredConfig {
 
     pub(crate) fn objectives(&self) -> Vec<f64> {
         vec![self.runtime_s, self.max_ate_m, self.watts]
+    }
+}
+
+/// One evaluation of a sweep, in evaluation order. Failures are
+/// recorded too: the learner was fed dummy objectives for a
+/// quarantined slot.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecordedEval {
+    /// A successful (possibly deadline-degraded) measurement.
+    Measured(MeasuredConfig),
+    /// A quarantined evaluation.
+    Failed {
+        /// The encoded parameter vector that was proposed.
+        x: Vec<f64>,
+        /// Why the engine gave up on it.
+        quarantined: QuarantinedConfig,
+    },
+}
+
+impl RecordedEval {
+    /// The objectives the learner was fed for this evaluation.
+    pub fn objectives(&self) -> Vec<f64> {
+        match self {
+            RecordedEval::Measured(m) => m.objectives(),
+            RecordedEval::Failed { .. } => FAILED_OBJECTIVES.to_vec(),
+        }
     }
 }
 
@@ -261,16 +288,6 @@ fn split_record(record: Vec<RecordedEval>) -> (Vec<MeasuredConfig>, Vec<Quaranti
     (measured, quarantined)
 }
 
-/// The outcome of a sweep loop run without a checkpoint, which never
-/// suspends.
-fn completed<T>(progress: SweepProgress<T>) -> T {
-    match progress {
-        SweepProgress::Complete(outcome) => outcome,
-        // xtask-allow: panic-path — reason: only a checkpoint's stop_after suspends a sweep, and this caller passes no checkpoint
-        SweepProgress::Suspended { .. } => unreachable!("a sweep without a checkpoint suspended"),
-    }
-}
-
 /// Records a quarantined configuration once per distinct configuration.
 pub(crate) fn push_quarantine(list: &mut Vec<QuarantinedConfig>, q: QuarantinedConfig) {
     if !list.iter().any(|seen| seen.config == q.config) {
@@ -284,119 +301,18 @@ pub(crate) fn push_quarantine(list: &mut Vec<QuarantinedConfig>, q: QuarantinedC
 /// active learner is evaluated concurrently through the engine; the
 /// outcome is identical to evaluating serially, and deterministic in
 /// `options.learner.seed`.
+///
+/// A killed exploration resumes by running it again on an engine over
+/// the same disk cache: the seeded learner proposes the same
+/// configurations, every run that finished before the kill is a disk
+/// hit, and only the rest execute.
 pub fn explore_with_engine(
     eval: &EvalEngine,
     dataset: &SyntheticDataset,
     device: &DeviceModel,
     options: &ExploreOptions,
 ) -> ExploreOutcome {
-    completed(explore_loop(eval, dataset, device, options, None))
-}
-
-/// [`explore_with_engine`] with atomic JSON checkpoints every
-/// [`CheckpointOptions::every`] evaluations and resume support.
-///
-/// The checkpoint records every evaluation (measurements *and*
-/// quarantined failures) in order; resuming replays that record through
-/// the same deterministic learner loop, verifying each proposal vector
-/// bitwise against the record, so a resumed sweep reaches a final
-/// outcome bit-identical to an uninterrupted one — given the same seed,
-/// at any thread count. A checkpoint whose metadata (seed, budget,
-/// dataset, device, threads) does not match is ignored, and a stale
-/// record tail (e.g. from a different engine policy) falls back to
-/// fresh evaluation.
-pub fn explore_checkpointed(
-    eval: &EvalEngine,
-    dataset: &SyntheticDataset,
-    device: &DeviceModel,
-    options: &ExploreOptions,
-    ckpt: &CheckpointOptions,
-) -> SweepProgress<ExploreOutcome> {
-    explore_loop(eval, dataset, device, options, Some(ckpt))
-}
-
-/// The active-learning loop behind both explore entry points. Without a
-/// checkpoint it loads and writes no files and never suspends.
-fn explore_loop(
-    eval: &EvalEngine,
-    dataset: &SyntheticDataset,
-    device: &DeviceModel,
-    options: &ExploreOptions,
-    ckpt: Option<&CheckpointOptions>,
-) -> SweepProgress<ExploreOutcome> {
-    let meta = SweepCheckpoint {
-        kind: "explore".to_string(),
-        algorithm: eval.algorithm().id().to_string(),
-        seed: options.learner.seed,
-        budget: options.budget,
-        dataset_fingerprint: engine::dataset_fingerprint(dataset),
-        device: device.name.clone(),
-        threads: options.threads,
-        completed: Vec::new(),
-    };
-    let mut replay: VecDeque<RecordedEval> = ckpt
-        .filter(|c| c.resume)
-        .and_then(|c| load_checkpoint(&c.path()))
-        .filter(|cp| cp.matches(&meta))
-        .map(|cp| cp.completed.into())
-        .unwrap_or_default();
-    let mut record: Vec<RecordedEval> = Vec::new();
-    let mut since_save = 0usize;
-    let space = space_for(eval.algorithm());
-    let mut learner = ActiveLearner::new(space, 3, options.learner);
-    let (result, suspended) = learner.run_batched_resumable(options.budget, |xs| {
-        if ckpt
-            .and_then(|c| c.stop_after)
-            .is_some_and(|limit| record.len() >= limit)
-        {
-            return BatchEval::Suspend;
-        }
-        // replay the recorded prefix of this batch, verifying the
-        // learner re-proposed exactly what the record says it did
-        let first = record.len();
-        while record.len() - first < xs.len() {
-            let x = &xs[record.len() - first];
-            match replay.pop_front() {
-                Some(r) if r.x() == x.as_slice() => record.push(r),
-                // the record diverged (stale checkpoint): drop the tail
-                // and evaluate the rest fresh
-                Some(_) => replay.clear(),
-                None => break,
-            }
-        }
-        let fresh = &xs[record.len() - first..];
-        if !fresh.is_empty() {
-            record.extend(evaluate_points(
-                eval,
-                dataset,
-                device,
-                fresh,
-                options.threads,
-            ));
-            since_save += fresh.len();
-        }
-        if let Some(c) = ckpt {
-            if since_save >= c.every.max(1) {
-                save_checkpoint(&c.path(), &meta.with_completed(record.clone()));
-                since_save = 0;
-            }
-        }
-        BatchEval::Evaluated(
-            record[first..]
-                .iter()
-                .map(RecordedEval::objectives)
-                .collect(),
-        )
-    });
-    if let Some(c) = ckpt {
-        save_checkpoint(&c.path(), &meta.with_completed(record.clone()));
-        if suspended {
-            return SweepProgress::Suspended {
-                completed: record.len(),
-                path: c.path(),
-            };
-        }
-    }
+    let (record, initial_count, _) = explore_loop(eval, dataset, device, options, usize::MAX);
     let (measured, quarantined) = split_record(record);
     let default_config = measure_on_threads(
         eval,
@@ -405,13 +321,60 @@ fn explore_loop(
         &encode_for(eval.algorithm(), &KFusionConfig::default()),
         options.threads,
     );
-    SweepProgress::Complete(ExploreOutcome {
+    ExploreOutcome {
         measured,
-        initial_count: result.initial_count,
+        initial_count,
         default_config,
         accuracy_limit: options.accuracy_limit,
         quarantined,
-    })
+    }
+}
+
+/// Runs the exploration of [`explore_with_engine`] until it has
+/// recorded at least `evaluations` evaluations, stopping at the first
+/// batch boundary at or past that count. Returns the evaluation record
+/// in order, and whether the learner loop ended (its schedule or the
+/// budget ran out) rather than stopping early.
+///
+/// The record is a prefix of what the uninterrupted exploration
+/// evaluates, so a caller that serves an exploration a slice at a time
+/// calls this with a growing count on one engine: the engine's cache
+/// answers the evaluations of earlier slices.
+pub fn explore_until(
+    eval: &EvalEngine,
+    dataset: &SyntheticDataset,
+    device: &DeviceModel,
+    options: &ExploreOptions,
+    evaluations: usize,
+) -> (Vec<RecordedEval>, bool) {
+    let (record, _, ended) = explore_loop(eval, dataset, device, options, evaluations);
+    (record, ended)
+}
+
+/// The active-learning loop behind both explore entry points: the
+/// evaluation record, the size of the initial design, and whether the
+/// learner loop ran to its end rather than suspending at the first
+/// batch boundary at or past `stop_at` evaluations.
+fn explore_loop(
+    eval: &EvalEngine,
+    dataset: &SyntheticDataset,
+    device: &DeviceModel,
+    options: &ExploreOptions,
+    stop_at: usize,
+) -> (Vec<RecordedEval>, usize, bool) {
+    let mut record: Vec<RecordedEval> = Vec::new();
+    let space = space_for(eval.algorithm());
+    let mut learner = ActiveLearner::new(space, 3, options.learner);
+    let (result, suspended) = learner.run_batched_resumable(options.budget, |xs| {
+        if record.len() >= stop_at {
+            return BatchEval::Suspend;
+        }
+        let batch = evaluate_points(eval, dataset, device, xs, options.threads);
+        let objectives = batch.iter().map(RecordedEval::objectives).collect();
+        record.extend(batch);
+        BatchEval::Evaluated(objectives)
+    });
+    (record, result.initial_count, !suspended)
 }
 
 /// Evaluates `n` uniform random configurations (Figure 2's "Random
@@ -420,6 +383,10 @@ fn explore_loop(
 /// an inner kernel-thread budget so sweep-level and kernel-level
 /// parallelism never multiply past the machine. Deterministic in
 /// `seed`; a quarantined draw is reported, not fatal.
+///
+/// A killed sweep resumes by running it again on an engine over the
+/// same disk cache: the draws that finished are disk hits, and the
+/// batch that was in flight runs again.
 pub fn random_sweep_with_engine(
     eval: &EvalEngine,
     dataset: &SyntheticDataset,
@@ -427,7 +394,15 @@ pub fn random_sweep_with_engine(
     n: usize,
     seed: u64,
 ) -> RandomSweepOutcome {
-    completed(random_sweep_loop(eval, dataset, device, n, seed, None))
+    use rand::SeedableRng;
+    let space = space_for(eval.algorithm());
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let samples = slam_dse::sampler::random_samples(&space, n, &mut rng);
+    let (measured, quarantined) = split_record(evaluate_points(eval, dataset, device, &samples, 0));
+    RandomSweepOutcome {
+        measured,
+        quarantined,
+    }
 }
 
 /// The result of a fault-tolerant random sweep: successful measurements
@@ -439,94 +414,6 @@ pub struct RandomSweepOutcome {
     pub measured: Vec<MeasuredConfig>,
     /// Draws whose runs were quarantined.
     pub quarantined: Vec<QuarantinedConfig>,
-}
-
-/// [`random_sweep_with_engine`] with atomic JSON checkpoints every
-/// [`CheckpointOptions::every`] evaluations, and resume support. The
-/// draws are fixed by the seed up front, so a resumed sweep replays the
-/// checkpointed prefix (validated against the re-drawn samples) and
-/// evaluates only the remainder — the final outcome is bit-identical to
-/// an uninterrupted sweep.
-pub fn random_sweep_checkpointed(
-    eval: &EvalEngine,
-    dataset: &SyntheticDataset,
-    device: &DeviceModel,
-    n: usize,
-    seed: u64,
-    ckpt: &CheckpointOptions,
-) -> SweepProgress<RandomSweepOutcome> {
-    random_sweep_loop(eval, dataset, device, n, seed, Some(ckpt))
-}
-
-/// The random-sweep loop behind both entry points. Without a checkpoint
-/// it evaluates all `n` draws as one batch, loads and writes no files
-/// and never suspends.
-fn random_sweep_loop(
-    eval: &EvalEngine,
-    dataset: &SyntheticDataset,
-    device: &DeviceModel,
-    n: usize,
-    seed: u64,
-    ckpt: Option<&CheckpointOptions>,
-) -> SweepProgress<RandomSweepOutcome> {
-    use rand::SeedableRng;
-    let space = space_for(eval.algorithm());
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let samples = slam_dse::sampler::random_samples(&space, n, &mut rng);
-    let meta = SweepCheckpoint {
-        kind: "random_sweep".to_string(),
-        algorithm: eval.algorithm().id().to_string(),
-        seed,
-        budget: n,
-        dataset_fingerprint: engine::dataset_fingerprint(dataset),
-        device: device.name.clone(),
-        threads: 0,
-        completed: Vec::new(),
-    };
-    let mut record: Vec<RecordedEval> = ckpt
-        .filter(|c| c.resume)
-        .and_then(|c| load_checkpoint(&c.path()))
-        .filter(|cp| cp.matches(&meta))
-        .map(|cp| cp.completed)
-        .unwrap_or_default();
-    // validate the replayed prefix against the (re-drawn) samples
-    record.truncate(samples.len());
-    if record
-        .iter()
-        .zip(&samples)
-        .any(|(r, x)| r.x() != x.as_slice())
-    {
-        record.clear();
-    }
-    let chunk = ckpt.map_or(samples.len(), |c| c.every.max(1));
-    while record.len() < samples.len() {
-        let done = record.len();
-        if let Some(c) = ckpt {
-            if c.stop_after.is_some_and(|limit| done >= limit) {
-                save_checkpoint(&c.path(), &meta.with_completed(record));
-                return SweepProgress::Suspended {
-                    completed: done,
-                    path: c.path(),
-                };
-            }
-        }
-        let end = (done + chunk).min(samples.len());
-        record.extend(evaluate_points(
-            eval,
-            dataset,
-            device,
-            &samples[done..end],
-            0,
-        ));
-        if let Some(c) = ckpt {
-            save_checkpoint(&c.path(), &meta.with_completed(record.clone()));
-        }
-    }
-    let (measured, quarantined) = split_record(record);
-    SweepProgress::Complete(RandomSweepOutcome {
-        measured,
-        quarantined,
-    })
 }
 
 #[cfg(test)]
@@ -632,6 +519,19 @@ mod tests {
         let json = |o: &ExploreOutcome| serde_json::to_string(o).unwrap();
         assert_eq!(json(&cold), json(&warm_first));
         assert_eq!(json(&cold), json(&warm_second));
+    }
+
+    #[test]
+    fn failed_evals_feed_dummy_objectives() {
+        let r = RecordedEval::Failed {
+            x: vec![0.5, 0.25],
+            quarantined: QuarantinedConfig {
+                config: KFusionConfig::fast_test(),
+                attempts: 2,
+                cause: "injected".to_string(),
+            },
+        };
+        assert_eq!(r.objectives(), FAILED_OBJECTIVES.to_vec());
     }
 
     #[test]

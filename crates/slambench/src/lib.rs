@@ -35,8 +35,8 @@
 //! | [`engine::EvalEngine::evaluate`] | one configuration (panics on failure) |
 //! | [`engine::EvalEngine::evaluate_batch`] | a batch, one [`engine::RunOutcome`] per slot |
 //! | [`explore::measure`] | one encoded configuration, costed on a device |
-//! | [`explore::explore_with_engine`] / [`explore::explore_checkpointed`] | the active-learning loop |
-//! | [`explore::random_sweep_with_engine`] / [`explore::random_sweep_checkpointed`] | the random baseline |
+//! | [`explore::explore_with_engine`] / [`explore::explore_until`] | the active-learning loop, whole or up to an evaluation count |
+//! | [`explore::random_sweep_with_engine`] | the random baseline |
 //! | [`codesign::codesign_explore_with_engine`] | the algorithm × DVFS co-design loop |
 //! | [`fleet::fleet_speedups_with_engine`] | the phone-fleet study |
 //! | [`suite::run_suite_with_engine`] | a sequence × configuration grid |
@@ -44,6 +44,12 @@
 //! A fresh `EvalEngine::new()` always executes the run; pick the
 //! algorithm with [`engine::EvalEngine::with_algorithm`] and record spans
 //! with [`engine::EvalEngine::with_tracer`].
+//!
+//! The engine's disk cache ([`engine::EvalEngine::with_disk_cache`]) is
+//! also the one resume record: every sweep is seeded, so a killed sweep
+//! run again on an engine over the same cache directory proposes the
+//! same configurations, serves each finished run as a disk hit and
+//! executes only the rest.
 //!
 //! # Quickstart
 //!
@@ -80,7 +86,6 @@
 #![deny(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-pub mod checkpoint;
 pub mod codesign;
 pub mod config_space;
 pub mod engine;
@@ -90,21 +95,17 @@ pub mod fleet;
 pub mod run;
 pub mod suite;
 
-pub use checkpoint::{
-    load_checkpoint, load_json, save_checkpoint, save_json_atomic, CheckpointOptions, RecordedEval,
-    SweepCheckpoint, SweepProgress,
-};
 pub use codesign::{
     codesign_explore_with_engine, codesign_space_for, decode_codesign_for, CoDesignOptions,
     CoDesignOutcome,
 };
 pub use config_space::{decode_for, encode_for, space_for};
 pub use engine::{
-    dataset_fingerprint, run_fingerprint, EngineStats, EvalEngine, EvalError, RunOutcome,
+    load_json, run_fingerprint, save_json_atomic, EngineStats, EvalEngine, EvalError, RunOutcome,
 };
 pub use explore::{
-    explore_checkpointed, explore_with_engine, measure, random_sweep_checkpointed,
-    random_sweep_with_engine, ExploreOptions, ExploreOutcome, MeasuredConfig, RandomSweepOutcome,
+    explore_until, explore_with_engine, measure, random_sweep_with_engine, ExploreOptions,
+    ExploreOutcome, MeasuredConfig, RandomSweepOutcome, RecordedEval,
 };
 pub use fault::{Deadline, FaultPlan, FaultPolicy, MockRunClock, QuarantinedConfig, RetryPolicy};
 pub use fleet::{fleet_speedups_with_engine, FleetEntry, FleetOutcome, FleetSkip};

@@ -385,20 +385,43 @@ fn mutated_disk_entries_read_as_misses_or_the_identical_run() {
         .filter(|&i| pristine[i].is_ascii_digit())
         .collect();
 
+    // values a decoder must reject or carry through intact
+    const SPLICES: &[&str] = &[
+        "-1",
+        "1e400",
+        "18446744073709551616",
+        "null",
+        "\"\\ud800\"",
+        "[]",
+        "{}",
+    ];
+    const KINDS: usize = 6;
     let mut rng = SplitMix64(0xd15c_ac4e);
-    let (mut hits, mut misses, mut reruns) = ([0usize; 3], [0usize; 3], 0usize);
-    for case in 0..2_400 {
-        let kind = case % 3;
+    let (mut hits, mut misses, mut reruns) = ([0usize; KINDS], [0usize; KINDS], 0usize);
+    for case in 0..20_000 {
+        let kind = case % KINDS;
         let mut bytes = pristine.clone();
+        let at = rng.below(bytes.len());
         match kind {
-            0 => {
-                let at = rng.below(bytes.len());
-                bytes[at] ^= 1 << rng.below(8);
-            }
-            1 => bytes.truncate(rng.below(bytes.len())),
-            _ => {
+            0 => bytes[at] ^= 1 << rng.below(8),
+            1 => bytes.truncate(at),
+            2 => {
                 let at = run_digits[rng.below(run_digits.len())];
                 bytes[at] = b'0' + (bytes[at] - b'0' + 1 + rng.below(9) as u8) % 10;
+            }
+            3 => bytes.insert(at, rng.below(256) as u8),
+            4 => {
+                bytes.remove(at);
+            }
+            _ => {
+                // replace the text from `at` to the next delimiter (a
+                // scalar value, often) by a splice
+                let end = bytes[at..]
+                    .iter()
+                    .position(|b| b",}]".contains(b))
+                    .map_or(bytes.len(), |n| at + n);
+                let splice = SPLICES[rng.below(SPLICES.len())].bytes();
+                bytes.splice(at..end, splice);
             }
         }
         std::fs::write(&path, &bytes).expect("writable");
@@ -429,15 +452,15 @@ fn mutated_disk_entries_read_as_misses_or_the_identical_run() {
             }
         }
     }
-    // byte flips and truncations almost always break the entry, and a
-    // digit bump inside the run always changes it unless the bumped
-    // number parses to the same value
+    // every kind of mutation breaks the entry most of the time (a digit
+    // bump inside the run always changes it unless the bumped number
+    // parses to the same value)
     assert!(
         misses.iter().all(|&m| m > 0),
         "misses {misses:?}, hits {hits:?}"
     );
     assert_eq!(hits[1], 0, "a truncated entry was accepted");
-    assert!(reruns >= 3);
+    assert!(reruns >= KINDS);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

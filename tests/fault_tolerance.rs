@@ -1,6 +1,6 @@
 //! Fault-tolerant evaluation: injected run panics, deadlines, retry and
-//! quarantine, disk-cache IO errors, and checkpoint/resume for long
-//! sweeps. Every fault here comes from a seeded [`FaultPlan`], so each
+//! quarantine, disk-cache IO errors, and resuming a killed sweep from
+//! the disk cache. Every fault here comes from a seeded [`FaultPlan`], so each
 //! scenario is bit-reproducible at any thread count.
 
 use slam_kfusion::{AlgoId, KFusionConfig};
@@ -8,11 +8,9 @@ use slam_power::devices::odroid_xu3;
 use slam_power::fleet::phone_fleet;
 use slam_scene::dataset::{DatasetConfig, SyntheticDataset};
 use slam_scene::noise::DepthNoiseModel;
-use slambench::checkpoint::{CheckpointOptions, SweepProgress};
 use slambench::engine::{EvalEngine, RunOutcome};
 use slambench::explore::{
-    explore_checkpointed, explore_with_engine, measure, random_sweep_checkpointed,
-    random_sweep_with_engine, ExploreOptions,
+    explore_until, explore_with_engine, measure, random_sweep_with_engine, ExploreOptions,
 };
 use slambench::fault::{Deadline, FaultPlan, FaultPolicy, MockRunClock, RetryPolicy};
 use slambench::fleet::{fleet_speedups_with_engine, memory_capped_volume};
@@ -34,7 +32,7 @@ fn config_with_volume(vr: usize) -> KFusionConfig {
     c
 }
 
-/// A unique scratch directory per test (checkpoints, disk caches).
+/// A unique scratch directory per test (disk caches).
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("slambench-ft-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -400,26 +398,6 @@ fn random_sweep_reports_a_quarantined_draw_and_keeps_sweeping() {
         assert_ne!(m.config.volume_resolution, 64);
     }
     assert_eq!(outcome.measured.len() + outcome.quarantined.len(), n);
-    // the plain sweep is the checkpointed sweep minus the files
-    let dir = scratch_dir("random-plain");
-    let mut ckpt = CheckpointOptions::new("random-plain");
-    ckpt.dir = dir.clone();
-    ckpt.resume = false;
-    let checkpointed = random_sweep_checkpointed(
-        &EvalEngine::new().with_fault_plan(plan),
-        &dataset,
-        &device,
-        n,
-        seed,
-        &ckpt,
-    )
-    .complete()
-    .unwrap();
-    assert_eq!(
-        serde_json::to_string(&outcome).unwrap(),
-        serde_json::to_string(&checkpointed).unwrap()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -484,133 +462,90 @@ fn suite_reports_failed_cells_and_fills_the_rest() {
 }
 
 // ---------------------------------------------------------------------------
-// checkpoint/resume: a killed sweep resumes bit-identically
+// resume: a killed sweep run again on the same disk cache is bit-identical
 // ---------------------------------------------------------------------------
+
+/// The kernel-thread budgets the resumed sweeps run under.
+const THREAD_BUDGETS: [usize; 3] = [1, 2, 7];
 
 #[test]
 fn suspended_explore_resumes_bit_identically() {
     let dataset = tiny_dataset(3);
     let device = odroid_xu3();
     let options = ExploreOptions::fast();
-    let dir = scratch_dir("ckpt-explore");
+    let json = |o: &ExploreOutcome| serde_json::to_string(o).unwrap();
 
     // the uninterrupted reference sweep
-    let reference = explore_with_engine(&EvalEngine::new(), &dataset, &device, &options);
+    let reference = json(&explore_with_engine(
+        &EvalEngine::new(),
+        &dataset,
+        &device,
+        &options,
+    ));
 
-    // session 1 "dies" at the first batch boundary past 5 evaluations
-    let mut ckpt = CheckpointOptions::new("explore");
-    ckpt.dir = dir.clone();
-    ckpt.every = 2;
-    ckpt.stop_after = Some(5);
-    let session1 = explore_checkpointed(&EvalEngine::new(), &dataset, &device, &options, &ckpt);
-    let SweepProgress::Suspended { completed, path } = session1 else {
-        unreachable!("stop_after must suspend the sweep");
-    };
-    assert!(completed >= 5 && completed < options.budget);
-    assert!(path.exists());
+    for threads in THREAD_BUDGETS {
+        let dir = scratch_dir(&format!("resume-explore-{threads}"));
+        slam_exec::with_thread_budget(threads, || {
+            // session 1 "dies" at the first batch boundary past 5
+            // evaluations, leaving only its disk-cache entries behind
+            let (record, ended) = explore_until(
+                &EvalEngine::with_disk_cache(&dir),
+                &dataset,
+                &device,
+                &options,
+                5,
+            );
+            let completed = record.len();
+            assert!(!ended);
+            assert!(completed >= 5 && completed < options.budget);
 
-    // session 2: fresh engine (the process was killed), same checkpoint
-    ckpt.stop_after = None;
-    let engine2 = EvalEngine::new();
-    let resumed = explore_checkpointed(&engine2, &dataset, &device, &options, &ckpt)
-        .complete()
-        .unwrap();
-    // only the un-replayed remainder (plus the default baseline) may run
-    assert!(engine2.stats().misses <= options.budget - completed + 1);
-
-    let json = |o: &ExploreOutcome| serde_json::to_string(o).unwrap();
-    assert_eq!(json(&resumed), json(&reference));
-    let _ = std::fs::remove_dir_all(&dir);
+            // session 2: a fresh engine (the process was killed) over the
+            // same cache runs the whole exploration again
+            let engine2 = EvalEngine::with_disk_cache(&dir);
+            let resumed = explore_with_engine(&engine2, &dataset, &device, &options);
+            // every finished run is a disk hit; only the remainder (plus
+            // the default baseline) may execute
+            assert_eq!(engine2.stats().disk_hits, completed, "{threads} threads");
+            assert!(engine2.stats().misses <= options.budget - completed + 1);
+            assert_eq!(json(&resumed), reference, "{threads} threads");
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn suspended_random_sweep_resumes_bit_identically_across_failures() {
     let dataset = tiny_dataset(3);
     let device = odroid_xu3();
-    let dir = scratch_dir("ckpt-random");
     let plan = FaultPlan {
         panic_on_volume: vec![96, 128],
         ..FaultPlan::default()
     };
-    let n = 10;
-    let seed = 77;
+    let (n, seed) = (10, 77);
+    let engine = || EvalEngine::new().with_fault_plan(plan.clone());
+    let json = |o: &slambench::RandomSweepOutcome| serde_json::to_string(o).unwrap();
 
     // uninterrupted reference under the same fault plan
-    let mut ref_ckpt = CheckpointOptions::new("random-ref");
-    ref_ckpt.dir = dir.clone();
-    ref_ckpt.resume = false;
-    let reference = random_sweep_checkpointed(
-        &EvalEngine::new().with_fault_plan(plan.clone()),
-        &dataset,
-        &device,
-        n,
-        seed,
-        &ref_ckpt,
-    )
-    .complete()
-    .unwrap();
+    let reference = random_sweep_with_engine(&engine(), &dataset, &device, n, seed);
+    assert!(!reference.quarantined.is_empty(), "the plan must bite");
 
-    // session 1 is killed after 4 evaluations
-    let mut ckpt = CheckpointOptions::new("random");
-    ckpt.dir = dir.clone();
-    ckpt.every = 2;
-    ckpt.stop_after = Some(4);
-    let session1 = random_sweep_checkpointed(
-        &EvalEngine::new().with_fault_plan(plan.clone()),
-        &dataset,
-        &device,
-        n,
-        seed,
-        &ckpt,
-    );
-    let SweepProgress::Suspended { completed, .. } = session1 else {
-        unreachable!("stop_after must suspend the sweep");
-    };
-    assert_eq!(completed, 4);
+    for threads in THREAD_BUDGETS {
+        let dir = scratch_dir(&format!("resume-random-{threads}"));
+        let on_disk = || EvalEngine::with_disk_cache(&dir).with_fault_plan(plan.clone());
+        slam_exec::with_thread_budget(threads, || {
+            // session 1 is killed after the first 4 draws: a sweep of the
+            // same seed draws the same prefix
+            let first = random_sweep_with_engine(&on_disk(), &dataset, &device, 4, seed);
+            let finished = first.measured.len();
 
-    // session 2 resumes on a fresh engine and finishes
-    ckpt.stop_after = None;
-    let resumed = random_sweep_checkpointed(
-        &EvalEngine::new().with_fault_plan(plan),
-        &dataset,
-        &device,
-        n,
-        seed,
-        &ckpt,
-    )
-    .complete()
-    .unwrap();
-    assert_eq!(
-        serde_json::to_string(&resumed).unwrap(),
-        serde_json::to_string(&reference).unwrap()
-    );
-    assert_eq!(resumed.measured.len() + resumed.quarantined.len(), n);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn metadata_mismatch_ignores_the_checkpoint_and_starts_fresh() {
-    let dataset = tiny_dataset(3);
-    let device = odroid_xu3();
-    let dir = scratch_dir("ckpt-mismatch");
-    let mut ckpt = CheckpointOptions::new("sweep");
-    ckpt.dir = dir.clone();
-    let engine = EvalEngine::new();
-    let first = random_sweep_checkpointed(&engine, &dataset, &device, 4, 11, &ckpt)
-        .complete()
-        .unwrap();
-    assert_eq!(first.measured.len(), 4);
-
-    // a different seed must not reuse the recorded evaluations
-    let engine2 = EvalEngine::new();
-    let other = random_sweep_checkpointed(&engine2, &dataset, &device, 4, 12, &ckpt)
-        .complete()
-        .unwrap();
-    assert_eq!(other.measured.len(), 4);
-    assert!(engine2.stats().misses > 0);
-    assert_ne!(
-        serde_json::to_string(&first).unwrap(),
-        serde_json::to_string(&other).unwrap()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+            // session 2 resumes on a fresh engine over the same cache: the
+            // finished draws are disk hits, a quarantined draw fails again
+            let engine2 = on_disk();
+            let resumed = random_sweep_with_engine(&engine2, &dataset, &device, n, seed);
+            assert_eq!(engine2.stats().disk_hits, finished, "{threads} threads");
+            assert_eq!(json(&resumed), json(&reference), "{threads} threads");
+            assert_eq!(resumed.measured.len() + resumed.quarantined.len(), n);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

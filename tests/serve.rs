@@ -1,10 +1,14 @@
 //! Loopback integration tests for the `slam-serve` campaign server:
 //! concurrent clients against a sharded engine must be bit-identical to
 //! a serial single-engine run, malformed requests get typed 400s, a
-//! campaign cancels mid-flight, and a killed server resumes in-flight
-//! campaigns from its persisted state with byte-identical outcomes.
+//! campaign cancels mid-flight, a served exploration streams exactly
+//! what one direct exploration records, and a killed server resumes
+//! in-flight campaigns from its persisted state with byte-identical
+//! outcomes.
 
+use slam_dse::active::ActiveLearnerOptions;
 use slam_kfusion::KFusionConfig;
+use slam_power::devices::odroid_xu3;
 use slam_scene::dataset::{DatasetConfig, SyntheticDataset};
 use slam_serve::{
     serve, CampaignHub, CampaignKind, CampaignPhase, CampaignRequest, CampaignStatus, Client,
@@ -12,8 +16,10 @@ use slam_serve::{
     ServerStatsReport, Submitted,
 };
 use slambench::engine::{EvalEngine, RunOutcome};
+use slambench::explore::{explore_until, ExploreOptions};
 use slambench::run::PipelineRun;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// A unique scratch state dir per test.
 fn scratch_dir(name: &str) -> PathBuf {
@@ -351,5 +357,189 @@ fn killed_server_resumes_campaigns_byte_identically() {
     }
     handle2.stop();
     hub2.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+fn explore_request(budget: usize, seed: u64) -> CampaignRequest {
+    CampaignRequest {
+        algorithm: "kfusion".to_string(),
+        dataset: tiny_dataset(3),
+        kind: CampaignKind::Explore { budget, seed },
+        priority: Priority::Batch,
+        device: None,
+    }
+}
+
+/// The records a served `Explore { budget, seed }` campaign must
+/// stream: one direct `explore_until` call over its whole budget on a
+/// fresh engine, with the fast learner profile the hub picks for a
+/// small budget, under a kernel-thread budget of `threads`.
+fn direct_exploration(budget: usize, seed: u64, threads: usize) -> Vec<String> {
+    let dataset = SyntheticDataset::generate(&tiny_dataset(3));
+    let mut learner = ActiveLearnerOptions::fast();
+    learner.seed = seed;
+    let options = ExploreOptions {
+        budget,
+        learner,
+        ..ExploreOptions::default()
+    };
+    let (record, ended) = slam_exec::with_thread_budget(threads, || {
+        explore_until(
+            &EvalEngine::new(),
+            &dataset,
+            &odroid_xu3(),
+            &options,
+            budget,
+        )
+    });
+    assert!(
+        ended,
+        "a whole-budget call runs the learner loop to its end"
+    );
+    record
+        .into_iter()
+        .enumerate()
+        .map(|(index, eval)| json(&OutcomeRecord::from_recorded(index, eval)))
+        .collect()
+}
+
+fn json(record: &OutcomeRecord) -> String {
+    serde_json::to_string(record).expect("record serialises")
+}
+
+fn submit(client: &Client, request: &CampaignRequest) -> Submitted {
+    client
+        .post("/campaigns", request)
+        .expect("server reachable")
+        .json()
+        .expect("submit decodes")
+}
+
+fn status_of(client: &Client, id: u64) -> CampaignStatus {
+    client
+        .get(&format!("/campaigns/{id}"))
+        .expect("server reachable")
+        .json()
+        .expect("status decodes")
+}
+
+#[test]
+fn explore_campaign_streams_the_records_of_one_direct_exploration() {
+    let state = scratch_dir("explore-direct");
+    let (budget, seed) = (12, 11);
+    // quantum 1: every quantum re-runs the learner one batch further
+    let (hub, handle) = start_server(&state, 2, 1, 1);
+    let client = Client::new(handle.addr());
+    let submitted = submit(&client, &explore_request(budget, seed));
+    assert_eq!(submitted.total, budget);
+    let streamed: Vec<String> = drain_outcomes(client, submitted.id, submitted.total)
+        .iter()
+        .map(json)
+        .collect();
+    assert_eq!(
+        status_of(&client, submitted.id).phase,
+        CampaignPhase::Complete
+    );
+    // the quanta replayed earlier slices from the engine's memory cache
+    let stats = hub.stats_report();
+    assert!(stats.merged.misses <= budget);
+    assert!(stats.merged.hits > 0);
+    handle.stop();
+    hub.shutdown();
+    for threads in [1, 2, 7] {
+        assert_eq!(
+            streamed,
+            direct_exploration(budget, seed, threads),
+            "{threads} threads"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn explore_campaign_past_its_learner_schedule_completes() {
+    let state = scratch_dir("explore-schedule");
+    let (hub, handle) = start_server(&state, 2, 1, 4);
+    let client = Client::new(handle.addr());
+    // the fast profile's schedule: 10 initial samples + 3 batches of 3
+    let submitted = submit(&client, &explore_request(22, 11));
+    assert_eq!(submitted.total, 19, "the total is what the schedule yields");
+    // poll for up to two minutes: a campaign that never completes fails
+    // here instead of hanging the suite
+    let mut status = status_of(&client, submitted.id);
+    for _ in 0..2_400 {
+        if status.phase.is_terminal() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        status = status_of(&client, submitted.id);
+    }
+    assert_eq!(
+        status.phase,
+        CampaignPhase::Complete,
+        "stuck at {}/{}",
+        status.completed,
+        status.total
+    );
+    assert_eq!(status.completed, 19);
+    handle.stop();
+    hub.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn killed_server_resumes_an_exploration_from_the_disk_cache() {
+    let state = scratch_dir("explore-resume");
+    let (budget, seed) = (19, 5);
+    // first life: one executor, quantum 1 — the kill lands after the
+    // first page, at most one batch later
+    let (hub, handle) = start_server(&state, 2, 1, 1);
+    let client = Client::new(handle.addr());
+    let submitted = submit(&client, &explore_request(budget, seed));
+    let first: OutcomesPage = client
+        .get(&format!(
+            "/campaigns/{}/outcomes?from=0&wait=1",
+            submitted.id
+        ))
+        .expect("server reachable")
+        .json()
+        .expect("page decodes");
+    assert!(
+        !first.records.is_empty(),
+        "exploration started before the kill"
+    );
+    handle.stop();
+    hub.shutdown();
+
+    // second life: the same state dir resumes the campaign under its id
+    let (hub2, handle2) = start_server(&state, 2, 1, 1);
+    let client2 = Client::new(handle2.addr());
+    let streamed: Vec<String> = drain_outcomes(client2, submitted.id, budget)
+        .iter()
+        .map(json)
+        .collect();
+    assert_eq!(
+        status_of(&client2, submitted.id).phase,
+        CampaignPhase::Complete
+    );
+    // the runs of the first life came back from the disk cache
+    let stats = hub2.stats_report();
+    assert!(
+        stats.merged.disk_hits >= first.records.len(),
+        "{} disk hits for {} pre-kill records",
+        stats.merged.disk_hits,
+        first.records.len()
+    );
+    assert!(stats.merged.misses <= budget - first.records.len());
+    handle2.stop();
+    hub2.shutdown();
+    for (i, record) in first.records.iter().enumerate() {
+        assert_eq!(
+            json(record),
+            streamed[i],
+            "record {i} diverged across the kill"
+        );
+    }
+    assert_eq!(streamed, direct_exploration(budget, seed, 2));
     let _ = std::fs::remove_dir_all(&state);
 }
