@@ -77,5 +77,7 @@ pub use odometry::PointOdometry;
 pub use pipeline::{FrameResult, KinectFusion};
 pub use tsdf::TsdfVolume;
 pub use tsdf_sparse::SparseTsdfVolume;
-pub use volume::{BadVoxel, DumpError, Volume, VolumeBackend, VolumeStorage, VoxelFault};
+pub use volume::{
+    BadVoxel, DumpError, RayBundle, Volume, VolumeBackend, VolumeStorage, VoxelFault,
+};
 pub use workload::{FrameWorkload, Kernel, Workload};

@@ -2,7 +2,7 @@
 //! integration kernel.
 
 use crate::image::DepthImage;
-use crate::volume::{BadVoxel, DumpError, VoxelFault};
+use crate::volume::{BadVoxel, DumpError, RayBundle, VoxelFault};
 use crate::workload::Workload;
 use slam_math::camera::PinholeCamera;
 use slam_math::{Se3, Vec3};
@@ -647,6 +647,74 @@ impl TsdfVolume {
     fn cell_is_free(&self, x: usize, y: usize, z: usize) -> bool {
         let word = self.cell_free[(z * self.resolution + y) * self.row_words + x / 64];
         word >> (x % 64) & 1 != 0
+    }
+
+    /// How many of the ray parameters `ts` every ray of `rays` samples
+    /// in a free cell; see [`Volume::free_prefix`](crate::Volume::free_prefix).
+    ///
+    /// At parameter `t`, the grid point `sample` computes for a ray lies
+    /// on axis `a` in `(origin + t·[dir_lo, dir_hi])·inv_voxel − 0.5`,
+    /// widened by a slack for the `f32` rounding: `dir_err·t` from the
+    /// direction, then at most `½ε` relative for each of `dir·t`,
+    /// `origin + …`, `·inv_voxel` and `− 0.5`, doubled (this `f64`
+    /// arithmetic errs by far less). A sample is proven free when that
+    /// box passes `sample`'s bounds test and every cell it touches has
+    /// its bit set, tested a word of a row at a time.
+    pub(crate) fn free_prefix(&self, rays: &RayBundle, ts: &[f32]) -> usize {
+        let eps = f64::from(f32::EPSILON);
+        let inv = f64::from(self.inv_voxel);
+        let max = f64::from(self.cell_max);
+        let o = rays.origin;
+        let origin = [o.x, o.y, o.z].map(f64::from);
+        let reach: [f64; 3] =
+            std::array::from_fn(|a| rays.dir_lo[a].abs().max(rays.dir_hi[a].abs()) + rays.dir_err);
+        for (k, &t) in ts.iter().enumerate() {
+            let t = f64::from(t);
+            let ahead = t >= 0.0;
+            if !ahead {
+                return k;
+            }
+            let mut cells = [(0usize, 0usize); 3];
+            for (a, span) in cells.iter_mut().enumerate() {
+                let slack = inv * t * rays.dir_err
+                    + 4.0 * eps * ((origin[a].abs() + t * reach[a]) * inv + 1.0);
+                let lo = (origin[a] + t * rays.dir_lo[a]) * inv - 0.5 - slack;
+                let hi = (origin[a] + t * rays.dir_hi[a]) * inv - 0.5 + slack;
+                // also false for NaN bounds
+                let inside = lo >= 0.0 && hi < max;
+                if !inside {
+                    return k;
+                }
+                *span = (lo as usize, hi as usize);
+            }
+            if !self.cells_free(cells) {
+                return k;
+            }
+        }
+        ts.len()
+    }
+
+    /// Whether every cell of the box `[(x0, x1), (y0, y1), (z0, z1)]`
+    /// (inclusive, inside the grid) is free.
+    fn cells_free(&self, [(x0, x1), (y0, y1), (z0, z1)]: [(usize, usize); 3]) -> bool {
+        let words = self.row_words;
+        let (k0, k1) = (x0 / 64, x1 / 64);
+        let (first, last) = (u64::MAX << (x0 % 64), u64::MAX >> (63 - x1 % 64));
+        let all = |w: u64, mask: u64| w & mask == mask;
+        (z0..=z1).all(|z| {
+            (y0..=y1).all(|y| {
+                let row = (z * self.resolution + y) * words;
+                if k0 == k1 {
+                    all(self.cell_free[row + k0], first & last)
+                } else {
+                    all(self.cell_free[row + k0], first)
+                        && self.cell_free[row + k0 + 1..row + k1]
+                            .iter()
+                            .all(|&w| w == u64::MAX)
+                        && all(self.cell_free[row + k1], last)
+                }
+            })
+        })
     }
 
     /// Clears every cell bit, so `sample` reads voxels everywhere (the

@@ -68,8 +68,8 @@ OPTIONS:
     --volume-resolution <N>          TSDF voxels per side (default 256)
     --volume-size <M>                TSDF cube size in metres (default 4)
     --volume-backend <dense|sparse>  TSDF storage layout (default dense;
-                                     identical output, sparse allocates
-                                     8^3-voxel bricks on first touch)
+                                     sparse allocates 8^3-voxel bricks on
+                                     first touch and tracks differently)
     --compute-size-ratio <1|2|4|8>   input downsampling (default 1)
     --mu <M>                         TSDF truncation distance (default 0.1)
     --icp-threshold <T>              ICP convergence threshold (default 1e-5)
