@@ -47,11 +47,12 @@ pub fn living_room_dataset(camera: PinholeCamera, frames: usize) -> SyntheticDat
     SyntheticDataset::generate(&dc)
 }
 
-/// The "XU3-tuned" configuration: the best feasible configuration found
-/// by the `fig2_dse` exploration on the ODROID XU3 model, frozen here so
+/// The "XU3-tuned" configuration: a dense configuration frozen here so
 /// that `fig3_phones` and `headline` are reproducible without re-running
-/// the search (re-run `fig2_dse` to re-derive it; it prints its best
-/// feasible configuration for comparison).
+/// the search. It is not `fig2_dse`'s current best feasible point: that
+/// one is sparse (csr 8, μ 0.132, `results/fig2_dse.txt`), because the
+/// exploration still sweeps `volume_backend`. Re-derive this config once
+/// the KinectFusion space no longer holds the backend.
 pub fn xu3_tuned_config() -> KFusionConfig {
     KFusionConfig {
         compute_size_ratio: 2,
@@ -79,13 +80,12 @@ pub mod thresholds {
 }
 
 /// Evaluates `configs` on `engine` as one concurrent batch and returns the
-/// runs in request order; a deadline-truncated run comes back as its
-/// completed prefix.
+/// runs in request order.
 ///
 /// # Panics
 ///
-/// Panics when the batch is rejected or a run failed on every allowed
-/// attempt: a figure needs every one of its runs.
+/// Panics when the batch is rejected or a run panicked: a figure needs
+/// every one of its runs.
 pub fn evaluate_all(
     engine: &EvalEngine,
     dataset: &SyntheticDataset,

@@ -121,11 +121,9 @@ pub struct CampaignRequest {
 /// How one evaluation slot ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OutcomeStatus {
-    /// The run completed within budget.
+    /// The run finished; `run` holds it.
     Done,
-    /// The per-run deadline fired; `run` holds the completed prefix.
-    TimedOut,
-    /// Every attempt panicked; `quarantined` says why.
+    /// The run panicked; `quarantined` says why.
     Failed,
     /// An exploration point: `measured` holds the objectives.
     Measured,
@@ -143,7 +141,7 @@ pub struct OutcomeRecord {
     pub sequence: Option<String>,
     /// How the slot ended.
     pub status: OutcomeStatus,
-    /// The full run, for `done` / `timed_out` slots.
+    /// The full run, for `done` slots.
     #[serde(default)]
     pub run: Option<PipelineRun>,
     /// The measured objectives, for exploration points.
@@ -159,7 +157,6 @@ impl OutcomeRecord {
     pub fn from_outcome(index: usize, sequence: Option<String>, outcome: RunOutcome) -> Self {
         let (status, run, quarantined) = match outcome {
             RunOutcome::Done(run) => (OutcomeStatus::Done, Some(run), None),
-            RunOutcome::TimedOut(run) => (OutcomeStatus::TimedOut, Some(run), None),
             RunOutcome::Failed(q) => (OutcomeStatus::Failed, None, Some(q)),
         };
         OutcomeRecord {

@@ -64,9 +64,8 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Defaults: 2 shards, 2 executors, quantum 4, disabled tracer.
-    /// Every engine shard runs the default fault policy, which sets no
-    /// wall-clock deadline: a served exploration replays the same way
-    /// in every quantum.
+    /// No run is ever cut short, so a served exploration replays the
+    /// same way in every quantum.
     pub fn new(state_dir: impl Into<PathBuf>) -> ServeOptions {
         ServeOptions {
             shards: 2,

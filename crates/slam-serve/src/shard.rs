@@ -46,9 +46,8 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Builds `shards` engines (minimum 1) for every registered
-    /// algorithm, all persisting to `disk_dir` and running under the
-    /// default fault policy. The tracer records cache traffic and
-    /// cross-shard hits.
+    /// algorithm, all persisting to `disk_dir`. The tracer records cache
+    /// traffic and cross-shard hits.
     pub fn new(shards: usize, disk_dir: &Path, tracer: Tracer) -> ShardedEngine {
         let shards = shards.max(1);
         let mut engines = BTreeMap::new();

@@ -14,7 +14,7 @@
 //! actual runs.
 
 use crate::config_space::{decode_for, space_for};
-use crate::engine::EvalEngine;
+use crate::engine::{EvalEngine, RunOutcome};
 use crate::explore::{push_quarantine, MeasuredConfig, FAILED_OBJECTIVES};
 use crate::fault::QuarantinedConfig;
 use slam_dse::active::{ActiveLearner, ActiveLearnerOptions};
@@ -194,17 +194,16 @@ pub fn codesign_explore_with_engine(
                 };
                 // xtask-allow: panic-path — reason: evaluate_batch returns one outcome per decided config by construction
                 let outcome = outcome_iter.next().expect("one outcome per decided config");
-                if let Some(q) = outcome.failure() {
-                    push_quarantine(&mut quarantined, q.clone());
-                    return FAILED_OBJECTIVES.to_vec();
-                }
-                let degraded = !outcome.is_done();
-                let Some(run) = outcome.run() else {
-                    return FAILED_OBJECTIVES.to_vec();
+                let run = match outcome {
+                    RunOutcome::Done(run) => run,
+                    RunOutcome::Failed(q) => {
+                        push_quarantine(&mut quarantined, q.clone());
+                        return FAILED_OBJECTIVES.to_vec();
+                    }
                 };
                 let report = run.cost_on(&device.at_dvfs(dvfs));
                 let runtime_s = report.timing.mean_frame_time();
-                let max_ate_m = if degraded || run.lost_frames > run.frames.len() / 2 {
+                let max_ate_m = if run.lost_frames > run.frames.len() / 2 {
                     f64::from(config.volume_size)
                 } else {
                     run.ate.max

@@ -50,8 +50,8 @@
 //! host wall-clock is inherently nondeterministic and is pinned by
 //! `tests/engine.rs` to be the *only* field that may differ.
 
-use crate::fault::{FaultPlan, FaultPolicy, QuarantinedConfig, RunClock, WallRunClock};
-use crate::run::{run_algorithm_guarded, GuardOptions, PipelineRun, RunStatus};
+use crate::fault::{FaultPlan, QuarantinedConfig};
+use crate::run::{run_algorithm, PipelineRun};
 use serde::{Deserialize, Serialize};
 use slam_kfusion::config::ConfigError;
 use slam_kfusion::{AlgoId, KFusionConfig};
@@ -61,7 +61,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Why the engine refused to evaluate a configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,25 +97,21 @@ impl From<ConfigError> for EvalError {
     }
 }
 
-/// Per-slot result of a fault-tolerant batch evaluation.
+/// Per-slot result of a batch evaluation: a run finishes or fails.
 #[derive(Debug, Clone)]
 pub enum RunOutcome {
-    /// The run completed within its budget.
+    /// The run processed every frame of the dataset.
     Done(PipelineRun),
-    /// The per-run [`Deadline`](crate::fault::Deadline) fired: the run
-    /// holds the completed prefix and is *not* cached (a future request
-    /// under a looser policy re-evaluates it).
-    TimedOut(PipelineRun),
-    /// Every attempt panicked; the configuration is quarantined and this
+    /// The run panicked; the configuration is quarantined and this
     /// record says why. Later requests for it fail fast.
     Failed(QuarantinedConfig),
 }
 
 impl RunOutcome {
-    /// The run, when one exists (complete or deadline-truncated).
+    /// The run, when the slot finished.
     pub fn run(&self) -> Option<&PipelineRun> {
         match self {
-            RunOutcome::Done(run) | RunOutcome::TimedOut(run) => Some(run),
+            RunOutcome::Done(run) => Some(run),
             RunOutcome::Failed(_) => None,
         }
     }
@@ -127,13 +124,12 @@ impl RunOutcome {
         }
     }
 
-    /// Whether the run completed within budget.
+    /// Whether the run finished.
     pub fn is_done(&self) -> bool {
         matches!(self, RunOutcome::Done(_))
     }
 
-    /// Consumes the outcome and returns its run, complete or
-    /// deadline-truncated.
+    /// Consumes the outcome and returns its run.
     ///
     /// # Panics
     ///
@@ -141,7 +137,7 @@ impl RunOutcome {
     /// that cannot go on without this run.
     pub fn expect_run(self) -> PipelineRun {
         match self {
-            RunOutcome::Done(run) | RunOutcome::TimedOut(run) => run,
+            RunOutcome::Done(run) => run,
             // xtask-allow: panic-path — reason: the documented panicking contract of the consuming accessor; run() and failure() are the fallible forms
             RunOutcome::Failed(q) => panic!("run failed: {}", q.cause),
         }
@@ -149,7 +145,7 @@ impl RunOutcome {
 }
 
 /// Cache traffic counters, one increment per requested evaluation, plus
-/// fault-tolerance outcome counters. Serialisable so stats surfaces
+/// the failure counter. Serialisable so stats surfaces
 /// (the `slam-serve` `/stats` endpoint, bench reports) can ship them
 /// as JSON.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -164,12 +160,10 @@ pub struct EngineStats {
     /// Requests answered by a quarantine record (fail-fast, no
     /// execution).
     pub quarantined: usize,
-    /// Extra attempts executed by the retry policy.
-    pub retries: usize,
-    /// Executions cut short by the per-run deadline.
+    /// Always 0: runs are never cut short. Kept only because the
+    /// benchmark's reports still read it.
     pub timed_out: usize,
-    /// Executions that exhausted every attempt and created a quarantine
-    /// record.
+    /// Executions that panicked and created a quarantine record.
     pub failed: usize,
 }
 
@@ -190,7 +184,6 @@ impl EngineStats {
             total.disk_hits += s.disk_hits;
             total.misses += s.misses;
             total.quarantined += s.quarantined;
-            total.retries += s.retries;
             total.timed_out += s.timed_out;
             total.failed += s.failed;
         }
@@ -238,9 +231,7 @@ fn config_bits(config: &KFusionConfig) -> String {
     serde_json::to_string(&canonical).unwrap_or_default()
 }
 
-/// Stable 64-bit digest of a run key — the identity fed to the fault
-/// plan and the disk-cache file name, so injected fault decisions are a
-/// pure function of *what* is being evaluated.
+/// Stable 64-bit digest of a run key — the disk-cache file name.
 fn key_hash(key: &RunKey) -> u64 {
     let mut bytes = key.algorithm.id().as_bytes().to_vec();
     bytes.push(0); // separator: id strings never contain NUL
@@ -265,13 +256,6 @@ pub fn run_fingerprint(
         dataset: dataset_id(dataset),
         config: config_bits(config),
     })
-}
-
-/// Per-miss execution result, before cache bookkeeping.
-enum MissResult {
-    Done { run: PipelineRun, retries: usize },
-    TimedOut { run: PipelineRun, retries: usize },
-    Failed(QuarantinedConfig),
 }
 
 /// Best-effort human-readable panic payload.
@@ -355,9 +339,7 @@ pub struct EvalEngine {
     algorithm: AlgoId,
     disk_dir: Option<PathBuf>,
     tracer: Tracer,
-    policy: FaultPolicy,
     plan: FaultPlan,
-    run_clock: Arc<dyn RunClock>,
 }
 
 impl Default for EvalEngine {
@@ -374,9 +356,7 @@ impl EvalEngine {
             algorithm: AlgoId::default(),
             disk_dir: None,
             tracer: Tracer::disabled(),
-            policy: FaultPolicy::default(),
-            plan: FaultPlan::none(),
-            run_clock: Arc::new(WallRunClock),
+            plan: FaultPlan::default(),
         }
     }
 
@@ -407,32 +387,11 @@ impl EvalEngine {
         self.algorithm
     }
 
-    /// Sets the fault-tolerance policy: per-run deadline + retry. The
-    /// default is unlimited/single-attempt, which is the zero-overhead
-    /// pre-fault-tolerance behaviour.
-    pub fn with_policy(mut self, policy: FaultPolicy) -> EvalEngine {
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a seeded fault-injection plan (tests only; the default
-    /// plan injects nothing).
+    /// Installs a fault-injection plan (tests only; the default plan
+    /// injects nothing).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> EvalEngine {
         self.plan = plan;
         self
-    }
-
-    /// Sets the per-run clock source used to measure wall deadlines
-    /// (default: real time via [`WallRunClock`]; tests inject
-    /// [`MockRunClock`](crate::fault::MockRunClock) for determinism).
-    pub fn with_run_clock(mut self, clock: Arc<dyn RunClock>) -> EvalEngine {
-        self.run_clock = clock;
-        self
-    }
-
-    /// The active fault-tolerance policy.
-    pub fn policy(&self) -> FaultPolicy {
-        self.policy
     }
 
     /// Every configuration quarantined so far, in key order.
@@ -485,14 +444,13 @@ impl EvalEngine {
     }
 
     /// Evaluates one configuration, serving it from the cache when
-    /// possible. A fresh engine always executes the run. A
-    /// deadline-truncated run is returned as its completed prefix.
+    /// possible. A fresh engine always executes the run.
     ///
     /// # Panics
     ///
     /// Panics when the configuration is invalid, the dataset is empty or
-    /// the run failed on every allowed attempt. Callers that must survive
-    /// any of these use [`EvalEngine::evaluate_batch`].
+    /// the run panicked (now or in an earlier request). Callers that must
+    /// survive any of these use [`EvalEngine::evaluate_batch`].
     pub fn evaluate(&self, dataset: &SyntheticDataset, config: &KFusionConfig) -> PipelineRun {
         match self.evaluate_batch(dataset, std::slice::from_ref(config)) {
             // one outcome per request
@@ -504,14 +462,12 @@ impl EvalEngine {
 
     /// Evaluates a batch of configurations, scheduling the cache misses
     /// concurrently on the shared worker pool, and returns one
-    /// [`RunOutcome`] per request, in request order. A panicking run (real or injected)
-    /// affects only its own slot — it is retried per the
-    /// [`RetryPolicy`](crate::fault::RetryPolicy), quarantined on
-    /// exhaustion, and every other slot's result is returned intact. A
-    /// run exceeding the per-run deadline comes back as
-    /// [`RunOutcome::TimedOut`] with its completed prefix. Neither
-    /// timed-out nor failed runs are ever cached; quarantine records
-    /// make later requests for a failed configuration fail fast.
+    /// [`RunOutcome`] per request, in request order. A panicking run (real
+    /// or injected) affects only its own slot: it comes back as
+    /// [`RunOutcome::Failed`], its configuration is quarantined, and
+    /// every other slot's result is returned intact. Failed runs are
+    /// never cached; the quarantine record makes later requests for the
+    /// configuration fail fast.
     ///
     /// # Errors
     ///
@@ -564,8 +520,8 @@ impl EvalEngine {
                     self.tracer.counter("engine.cache_hit", 1);
                     slots.push(Slot::Ready);
                 } else if let Some(q) = state.quarantine.get(key).cloned() {
-                    // fail fast: this configuration already exhausted
-                    // its attempts in an earlier batch
+                    // fail fast: this configuration already panicked in
+                    // an earlier batch
                     state.stats.quarantined += 1;
                     self.tracer.counter("engine.quarantine_hit", 1);
                     slots.push(Slot::Quarantined(q));
@@ -591,23 +547,21 @@ impl EvalEngine {
         }
 
         // run the misses concurrently, each isolated behind its own
-        // catch_unwind + retry loop; the cache lock is never held inside
-        // the parallel section, and bookkeeping happens in miss order
-        // afterwards, so scheduling cannot influence the cache
-        let mut miss_results: Vec<MissResult> = Vec::new();
+        // catch_unwind; the cache lock is never held inside the parallel
+        // section, and bookkeeping happens in miss order afterwards, so
+        // scheduling cannot influence the cache
+        let mut miss_results: Vec<RunOutcome> = Vec::new();
         if !miss_configs.is_empty() {
             // each run is one pool job whose kernels ask for the
             // configuration's own `threads`; waiting here, outside any
             // job, this thread helps the runs still going once its own
             // are done
             let workers = slam_exec::effective_threads(0).min(miss_configs.len());
-            let tasks: Vec<slam_exec::Task<'_, MissResult>> = miss_configs
+            let tasks: Vec<slam_exec::Task<'_, RunOutcome>> = miss_configs
                 .iter()
-                .zip(&miss_keys)
-                .map(|(config, key)| {
-                    let kh = key_hash(key);
-                    Box::new(move || self.execute_isolated(dataset, config, kh))
-                        as slam_exec::Task<'_, MissResult>
+                .map(|config| {
+                    Box::new(move || self.execute_isolated(dataset, config))
+                        as slam_exec::Task<'_, RunOutcome>
                 })
                 .collect();
             let helped = slam_exec::helped_jobs();
@@ -617,18 +571,11 @@ impl EvalEngine {
             let mut state = self.lock();
             for (key, result) in miss_keys.iter().zip(&miss_results) {
                 match result {
-                    MissResult::Done { run, retries } => {
-                        state.stats.retries += retries;
+                    RunOutcome::Done(run) => {
                         self.store_to_disk(key, run);
                         state.cache.insert(key.clone(), run.clone());
                     }
-                    MissResult::TimedOut { retries, .. } => {
-                        state.stats.retries += retries;
-                        state.stats.timed_out += 1;
-                        self.tracer.counter("engine.timed_out", 1);
-                    }
-                    MissResult::Failed(q) => {
-                        state.stats.retries += q.attempts.saturating_sub(1);
+                    RunOutcome::Failed(q) => {
                         state.stats.failed += 1;
                         self.tracer.counter("engine.run_failed", 1);
                         state.quarantine.insert(key.clone(), q.clone());
@@ -654,76 +601,32 @@ impl EvalEngine {
                 }
                 Slot::Quarantined(q) => RunOutcome::Failed(q.clone()),
                 Slot::Miss(i) => match &miss_results[*i] {
-                    MissResult::Done { run, .. } => RunOutcome::Done(with_threads(run.clone())),
-                    MissResult::TimedOut { run, .. } => {
-                        RunOutcome::TimedOut(with_threads(run.clone()))
-                    }
-                    MissResult::Failed(q) => RunOutcome::Failed(q.clone()),
+                    RunOutcome::Done(run) => RunOutcome::Done(with_threads(run.clone())),
+                    RunOutcome::Failed(q) => RunOutcome::Failed(q.clone()),
                 },
             });
         }
         Ok(out)
     }
 
-    /// Executes one cache miss with full fault isolation: injected
-    /// faults from the plan, a catch_unwind boundary per attempt, the
-    /// retry policy, and the per-run deadline on a fresh per-run clock.
-    /// Never panics and never touches the engine lock.
-    fn execute_isolated(
-        &self,
-        dataset: &SyntheticDataset,
-        config: &KFusionConfig,
-        key_hash: u64,
-    ) -> MissResult {
-        let max_attempts = self.policy.retry.attempts();
-        let slow_ns = self.plan.injected_slow_ns(config);
-        let wants_clock = self.policy.deadline.max_wall_ns.is_some();
-        let mut attempt = 0usize;
-        loop {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(cause) = self.plan.injected_panic(config, key_hash, attempt) {
-                    // xtask-allow: panic-path — reason: deliberate fault injection, caught by the catch_unwind just above
-                    panic!("{cause}");
-                }
-                let clock = wants_clock.then(|| self.run_clock.start());
-                run_algorithm_guarded(
-                    self.algorithm,
-                    dataset,
-                    config,
-                    &GuardOptions {
-                        tracer: &self.tracer,
-                        clock: clock.as_deref(),
-                        deadline: self.policy.deadline,
-                        slow_frame_penalty_ns: slow_ns,
-                    },
-                )
-            }));
-            match caught {
-                Ok(guarded) => {
-                    return match guarded.status {
-                        RunStatus::Completed => MissResult::Done {
-                            run: guarded.run,
-                            retries: attempt,
-                        },
-                        RunStatus::TimedOut { .. } => MissResult::TimedOut {
-                            run: guarded.run,
-                            retries: attempt,
-                        },
-                    };
-                }
-                Err(payload) => {
-                    let cause = panic_message(payload.as_ref());
-                    attempt += 1;
-                    if attempt >= max_attempts {
-                        return MissResult::Failed(QuarantinedConfig {
-                            config: config.clone(),
-                            attempts: attempt,
-                            cause,
-                        });
-                    }
-                    self.tracer.counter("engine.retry", 1);
-                }
+    /// Executes one cache miss behind a `catch_unwind` boundary: a
+    /// panicking run (real, or injected by the fault plan) becomes
+    /// [`RunOutcome::Failed`]. Never panics and never touches the
+    /// engine lock.
+    fn execute_isolated(&self, dataset: &SyntheticDataset, config: &KFusionConfig) -> RunOutcome {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(cause) = self.plan.injected_panic(config) {
+                // xtask-allow: panic-path — reason: deliberate fault injection, caught by the catch_unwind just above
+                panic!("{cause}");
             }
+            run_algorithm(self.algorithm, dataset, config, &self.tracer)
+        }));
+        match caught {
+            Ok(run) => RunOutcome::Done(run),
+            Err(payload) => RunOutcome::Failed(QuarantinedConfig {
+                config: config.clone(),
+                cause: panic_message(payload.as_ref()),
+            }),
         }
     }
 
@@ -741,10 +644,6 @@ impl EvalEngine {
 
     fn load_from_disk(&self, key: &RunKey) -> Option<PipelineRun> {
         let path = self.disk_path(key)?;
-        // injected IO error (tests): a failed load is just a miss
-        if self.plan.injected_disk_error(key_hash(key), 0) {
-            return None;
-        }
         let entry: DiskEntry = load_json(&path)?;
         // verify the schema version, the full key and the run checksum: a
         // hash collision, truncated write, schema drift or an edited run
@@ -761,11 +660,6 @@ impl EvalEngine {
         let Some(path) = self.disk_path(key) else {
             return;
         };
-        // injected IO error (tests): a failed store only costs a warm
-        // start later — persistence is best-effort by design
-        if self.plan.injected_disk_error(key_hash(key), 1) {
-            return;
-        }
         let Some(checksum) = run_checksum(run) else {
             return;
         };
@@ -791,10 +685,13 @@ pub fn load_json<T: serde::Deserialize>(path: &Path) -> Option<T> {
 
 /// Persists serialisable state atomically: it writes a temp file, then
 /// renames it over `path`, so a crashed or concurrent writer can never
-/// leave a half-written file under the final name. Best-effort: returns
-/// whether the save landed; a failed save is not an error, it only
-/// costs a warm start or a resume later.
+/// leave a half-written file under the final name. Every call writes its
+/// own temp file (process id plus a process-wide counter), so two
+/// threads saving the same path never write into one file. Best-effort:
+/// returns whether the save landed; a failed save is not an error, it
+/// only costs a warm start or a resume later.
 pub fn save_json_atomic<T: Serialize>(path: &Path, value: &T) -> bool {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
     let Ok(text) = serde_json::to_string(value) else {
         return false;
     };
@@ -804,7 +701,8 @@ pub fn save_json_atomic<T: Serialize>(path: &Path, value: &T) -> bool {
     if std::fs::create_dir_all(dir).is_err() {
         return false;
     }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let save = SAVES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{save}", std::process::id()));
     if std::fs::write(&tmp, text).is_err() {
         return false;
     }
@@ -966,7 +864,6 @@ mod tests {
             disk_hits: 2,
             misses: 3,
             quarantined: 4,
-            retries: 5,
             timed_out: 6,
             failed: 7,
         };
@@ -979,7 +876,6 @@ mod tests {
         assert_eq!(merged.disk_hits, 2);
         assert_eq!(merged.misses, 3);
         assert_eq!(merged.quarantined, 4);
-        assert_eq!(merged.retries, 5);
         assert_eq!(merged.timed_out, 6);
         assert_eq!(merged.failed, 7);
         assert_eq!(merged.requests(), a.requests() + b.requests());
@@ -1012,6 +908,59 @@ mod tests {
             run_fingerprint(AlgoId::KinectFusion, &dataset, &config),
             run_fingerprint(AlgoId::KinectFusion, &dataset, &coarse),
         );
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_path_never_tear_it() {
+        const WRITERS: u64 = 8;
+        const SAVES: usize = 200;
+        let dir = std::env::temp_dir().join(format!("slambench-save-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("entry.json");
+        // one value per writer, each of a different length, so a file
+        // torn between two of them is neither
+        let values: Vec<Vec<u64>> = (0..WRITERS)
+            .map(|w| vec![w; 1 + 300 * w as usize])
+            .collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        // writers and the reader start together
+        let start = std::sync::Barrier::new(values.len() + 1);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = values
+                .iter()
+                .map(|value| {
+                    let (path, start) = (&path, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..SAVES).all(|_| save_json_atomic(path, value))
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                start.wait();
+                let mut loads = 0usize;
+                while !done.load(Ordering::Acquire) {
+                    // once the file exists, every load sees one whole value
+                    if path.exists() {
+                        let loaded: Option<Vec<u64>> = load_json(&path);
+                        assert!(loaded.is_some_and(|v| values.contains(&v)));
+                        loads += 1;
+                    }
+                }
+                loads
+            });
+            let landed: Vec<bool> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+            // stop the reader before any assert can unwind past it
+            done.store(true, Ordering::Release);
+            let loads = reader.join().unwrap();
+            assert!(landed.iter().all(|&ok| ok), "every save lands");
+            assert!(loads > 0);
+        });
+        let last: Vec<u64> = load_json(&path).unwrap();
+        assert!(values.contains(&last));
+        // no temp file is left behind
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

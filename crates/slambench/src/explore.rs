@@ -102,7 +102,7 @@ impl MeasuredConfig {
 /// quarantined slot.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordedEval {
-    /// A successful (possibly deadline-degraded) measurement.
+    /// A successful measurement.
     Measured(MeasuredConfig),
     /// A quarantined evaluation.
     Failed {
@@ -136,7 +136,7 @@ pub struct ExploreOutcome {
     /// The accuracy constraint used.
     pub accuracy_limit: f64,
     /// Configurations the engine quarantined during this exploration
-    /// (every attempt panicked): dropped from `measured`, reported here.
+    /// (its run panicked): dropped from `measured`, reported here.
     #[serde(default)]
     pub quarantined: Vec<QuarantinedConfig>,
 }
@@ -168,21 +168,18 @@ impl ExploreOutcome {
 }
 
 /// Builds a [`MeasuredConfig`] by replaying a pipeline run's workload
-/// trace on the device model. `degraded` marks a run the engine cut
-/// short at its deadline: like losing tracking, it is penalised with the
-/// worst-case error bound so the optimiser steers away from it.
+/// trace on the device model.
 fn measured_from_run(
     x: &[f64],
     config: KFusionConfig,
     run: &PipelineRun,
     device: &DeviceModel,
-    degraded: bool,
 ) -> MeasuredConfig {
     let report = run.cost_on(device);
     let runtime_s = report.timing.mean_frame_time();
     // a run that lost tracking for good is useless regardless of its ATE
     // numbers mid-run; penalise by reporting the worst-case error bound
-    let max_ate_m = if degraded || run.lost_frames > run.frames.len() / 2 {
+    let max_ate_m = if run.lost_frames > run.frames.len() / 2 {
         f64::from(config.volume_size)
     } else {
         run.ate.max
@@ -207,8 +204,8 @@ fn measured_from_run(
 ///
 /// # Panics
 ///
-/// Panics when the dataset is empty or the run failed on every allowed
-/// attempt (see [`EvalEngine::evaluate`]).
+/// Panics when the dataset is empty or the run panicked (see
+/// [`EvalEngine::evaluate`]).
 pub fn measure(
     eval: &EvalEngine,
     dataset: &SyntheticDataset,
@@ -228,14 +225,13 @@ fn measure_on_threads(
     let mut config = decode_for(eval.algorithm(), x);
     config.threads = threads;
     let run = eval.evaluate(dataset, &config);
-    measured_from_run(x, config, &run, device, false)
+    measured_from_run(x, config, &run, device)
 }
 
 /// Evaluates a batch of encoded configurations as one engine batch, with
 /// per-slot fault tolerance: a quarantined slot is recorded as a failure
 /// (the learner sees [`FAILED_OBJECTIVES`]) instead of aborting the
-/// sweep, and a deadline-truncated run becomes a degraded
-/// (worst-case-ATE) measurement.
+/// sweep.
 fn evaluate_points(
     eval: &EvalEngine,
     dataset: &SyntheticDataset,
@@ -261,10 +257,7 @@ fn evaluate_points(
         .zip(outcomes)
         .map(|((x, config), outcome)| match outcome {
             RunOutcome::Done(run) => {
-                RecordedEval::Measured(measured_from_run(x, config, &run, device, false))
-            }
-            RunOutcome::TimedOut(run) => {
-                RecordedEval::Measured(measured_from_run(x, config, &run, device, true))
+                RecordedEval::Measured(measured_from_run(x, config, &run, device))
             }
             RunOutcome::Failed(q) => RecordedEval::Failed {
                 x: x.clone(),
@@ -409,7 +402,7 @@ pub fn random_sweep_with_engine(
 /// in draw order plus the quarantined configurations that were dropped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomSweepOutcome {
-    /// Measurements for every draw that ran (complete or degraded), in
+    /// Measurements for every draw that ran, in
     /// draw order.
     pub measured: Vec<MeasuredConfig>,
     /// Draws whose runs were quarantined.
@@ -527,7 +520,6 @@ mod tests {
             x: vec![0.5, 0.25],
             quarantined: QuarantinedConfig {
                 config: KFusionConfig::fast_test(),
-                attempts: 2,
                 cause: "injected".to_string(),
             },
         };

@@ -1,159 +1,22 @@
-//! Fault-tolerance policy for the evaluation engine: per-run deadlines,
-//! a deterministic retry policy, quarantine records for persistently
-//! failing configurations, and the seeded [`FaultPlan`] that injects
-//! faults for the `tests/fault_tolerance.rs` suite.
+//! Run isolation records for the evaluation engine: the
+//! [`QuarantinedConfig`] a panicking run leaves behind, and the
+//! [`FaultPlan`] test hook that makes a run panic on purpose.
 //!
 //! The paper's design-space exploration spends thousands of KinectFusion
 //! evaluations per device, and the 83-phone fleet study only works
-//! because one bad run cannot take down the campaign. This module holds
-//! the *policy* side of that robustness: [`Deadline`] bounds how long a
-//! single run may take (in frames or injected-clock nanoseconds),
-//! [`RetryPolicy`] decides how often a failed run is re-attempted, and
-//! [`QuarantinedConfig`] is the typed record the orchestrators surface
-//! when a configuration keeps failing.
-//!
-//! # Determinism contract
-//!
-//! Every decision made here is a pure function of the policy, the seed
-//! and the run's identity. Deadlines read time only through the injected
-//! [`Clock`] (a
-//! [`MockClock`] in tests makes them exactly
-//! reproducible), retry attempts are counted — never timed — and the
-//! [`FaultPlan`] derives each injected fault from an FNV hash of
-//! `(seed, domain, key, attempt)`. Two engines given the same plan and
-//! the same requests produce bit-identical outcomes at any thread count.
+//! because one bad run cannot take down the campaign. The engine runs
+//! every cache miss behind its own `catch_unwind`: a run that panics
+//! fails only its own batch slot, its configuration is quarantined, and
+//! the orchestrators report it (the learner sees a worst-case point)
+//! instead of aborting.
 
 use serde::{Deserialize, Serialize};
 use slam_kfusion::KFusionConfig;
-use slam_trace::{Clock, MockClock, WallClock};
 use std::fmt;
 
-/// Source of per-run clocks.
-///
-/// Each guarded evaluation measures its wall deadline on its **own**
-/// fresh clock: a shared clock read from concurrently executing runs
-/// would interleave nondeterministically, but a per-run clock makes the
-/// truncation point a pure function of the run — bit-identical at any
-/// thread count.
-pub trait RunClock: Send + Sync + fmt::Debug {
-    /// A fresh clock whose origin is the start of one run.
-    fn start(&self) -> Box<dyn Clock>;
-}
-
-/// Real time: each run gets a [`WallClock`] started at the run's first
-/// frame. The production default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WallRunClock;
-
-impl RunClock for WallRunClock {
-    fn start(&self) -> Box<dyn Clock> {
-        Box::new(WallClock::new())
-    }
-}
-
-/// Deterministic per-run time for tests: each run gets a fresh
-/// [`MockClock`] advancing `step_ns` per reading, so wall deadlines fire
-/// at exactly the same frame in every execution.
-#[derive(Debug, Clone, Copy)]
-pub struct MockRunClock {
-    /// Nanoseconds each clock reading advances by.
-    pub step_ns: u64,
-}
-
-impl RunClock for MockRunClock {
-    fn start(&self) -> Box<dyn Clock> {
-        Box::new(MockClock::new(self.step_ns))
-    }
-}
-
-/// A per-run budget: how many frames a run may process and/or how many
-/// wall-clock nanoseconds it may consume before it is stopped with a
-/// [`TimedOut`](crate::engine::RunOutcome::TimedOut) degraded outcome.
-///
-/// The default is unlimited, which is also the zero-overhead path: with
-/// no wall budget the guarded runner never reads the clock, so default
-/// engines behave bit-identically to the pre-deadline code.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Deadline {
-    /// Maximum frames a single run may process (`None` = all frames).
-    pub max_frames: Option<usize>,
-    /// Maximum wall-clock nanoseconds a single run may consume, measured
-    /// on the engine's injected [`Clock`] (`None` =
-    /// unlimited).
-    pub max_wall_ns: Option<u64>,
-}
-
-impl Deadline {
-    /// No budget: runs always complete (the default).
-    pub fn none() -> Deadline {
-        Deadline::default()
-    }
-
-    /// A frame-count budget.
-    pub fn frames(max_frames: usize) -> Deadline {
-        Deadline {
-            max_frames: Some(max_frames),
-            max_wall_ns: None,
-        }
-    }
-
-    /// A wall-clock budget in nanoseconds on the engine's clock.
-    pub fn wall_ns(max_wall_ns: u64) -> Deadline {
-        Deadline {
-            max_frames: None,
-            max_wall_ns: Some(max_wall_ns),
-        }
-    }
-
-    /// Whether this deadline can never fire.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_frames.is_none() && self.max_wall_ns.is_none()
-    }
-}
-
-/// How often the engine re-attempts a run whose execution panicked.
-///
-/// Retries are meant for *transient* faults (the injected kind in the
-/// fault-tolerance suite, or flaky IO in a real deployment); a
-/// configuration that fails every attempt is quarantined instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Total attempts per run, including the first (at least 1).
-    pub max_attempts: usize,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1 }
-    }
-}
-
-impl RetryPolicy {
-    /// `extra` retries on top of the first attempt.
-    pub fn retries(extra: usize) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: extra + 1,
-        }
-    }
-
-    /// Total attempts, never less than one.
-    pub fn attempts(&self) -> usize {
-        self.max_attempts.max(1)
-    }
-}
-
-/// The engine's complete fault-tolerance policy: deadline + retry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultPolicy {
-    /// Per-run budget.
-    pub deadline: Deadline,
-    /// Re-attempt policy for panicking runs.
-    pub retry: RetryPolicy,
-}
-
-/// The typed record of a configuration the engine gave up on: every
-/// attempt panicked, so the configuration is quarantined and later
-/// requests for it fail fast instead of re-running it.
+/// The typed record of a configuration the engine gave up on: its run
+/// panicked, so the configuration is quarantined and later requests for
+/// it fail fast instead of re-running it.
 ///
 /// Orchestrators collect these into their summaries
 /// ([`ExploreOutcome::quarantined`](crate::explore::ExploreOutcome),
@@ -161,127 +24,40 @@ pub struct FaultPolicy {
 /// configurations were dropped and why.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuarantinedConfig {
-    /// The configuration that kept failing.
+    /// The configuration whose run panicked.
     pub config: KFusionConfig,
-    /// Attempts consumed before giving up.
-    pub attempts: usize,
-    /// The panic message of the last attempt.
+    /// The panic message.
     pub cause: String,
 }
 
 impl fmt::Display for QuarantinedConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "quarantined after {} attempt(s): {}",
-            self.attempts, self.cause
-        )
+        write!(f, "quarantined: {}", self.cause)
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a_words(words: &[u64]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for w in words {
-        for b in w.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
-}
-
-/// A seeded, deterministic fault-injection plan.
+/// A test hook that sends a real panic through the real pool: every run
+/// at one of [`FaultPlan::panic_on_volume`]'s volume resolutions panics
+/// inside its pool job, where the engine's isolation must catch it.
 ///
-/// The plan is consulted by the engine at three points: before each run
-/// attempt (injected panics and injected slowness) and around each disk
-/// cache access (injected IO errors). Every decision is a pure function
-/// of `(seed, fault domain, run key, attempt)`, so a plan reproduces the
-/// exact same fault pattern across processes and thread counts — which
-/// is what lets `tests/fault_tolerance.rs` assert bit-identical
-/// recovery behaviour.
-///
-/// The default plan injects nothing and is free.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The default plan injects nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed mixed into every injection decision.
-    pub seed: u64,
-    /// Probability that a given `(run, attempt)` pair panics — a
-    /// *transient* fault: the next attempt rolls a fresh decision, so a
-    /// retry policy usually recovers it.
-    pub transient_panic_rate: f64,
-    /// Volume resolutions whose runs panic on *every* attempt — a
-    /// targeted *persistent* fault that exhausts any retry policy and
-    /// drives the configuration into quarantine.
+    /// Volume resolutions whose runs panic.
     pub panic_on_volume: Vec<usize>,
-    /// Volume resolutions whose runs are slowed down: each processed
-    /// frame charges [`FaultPlan::slow_frame_penalty_ns`] extra
-    /// nanoseconds against the wall deadline.
-    pub slow_on_volume: Vec<usize>,
-    /// Injected per-frame penalty for slow runs, nanoseconds.
-    pub slow_frame_penalty_ns: u64,
-    /// Probability that a single disk-cache access (load or store) fails
-    /// as if the IO errored; the engine must degrade it to a cache miss.
-    pub disk_error_rate: f64,
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing.
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// Whether this plan can ever inject anything.
-    pub fn is_inert(&self) -> bool {
-        self.transient_panic_rate <= 0.0
-            && self.panic_on_volume.is_empty()
-            && self.slow_on_volume.is_empty()
-            && self.disk_error_rate <= 0.0
-    }
-
-    /// Deterministic uniform draw in `[0, 1)` for one decision site.
-    fn draw(&self, domain: u64, key: u64, attempt: u64) -> f64 {
-        let h = fnv1a_words(&[self.seed, domain, key, attempt]);
-        // use the top 53 bits for an unbiased double in [0, 1)
-        (h >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Returns the cause string when `(run key, attempt)` should panic.
-    pub fn injected_panic(
-        &self,
-        config: &KFusionConfig,
-        key: u64,
-        attempt: usize,
-    ) -> Option<String> {
-        if self.panic_on_volume.contains(&config.volume_resolution) {
-            return Some(format!(
-                "injected persistent fault (volume {})",
-                config.volume_resolution
-            ));
-        }
-        if self.transient_panic_rate > 0.0
-            && self.draw(1, key, attempt as u64) < self.transient_panic_rate
-        {
-            return Some(format!("injected transient fault (attempt {attempt})"));
-        }
-        None
-    }
-
-    /// The injected per-frame wall-clock penalty for this run, if any.
-    pub fn injected_slow_ns(&self, config: &KFusionConfig) -> u64 {
-        if self.slow_on_volume.contains(&config.volume_resolution) {
-            self.slow_frame_penalty_ns
-        } else {
-            0
-        }
-    }
-
-    /// Whether one disk-cache access should fail as an IO error.
-    /// `access` disambiguates the load/store sites of one key.
-    pub fn injected_disk_error(&self, key: u64, access: u64) -> bool {
-        self.disk_error_rate > 0.0 && self.draw(2, key, access) < self.disk_error_rate
+    /// The cause string when a run of `config` should panic.
+    pub(crate) fn injected_panic(&self, config: &KFusionConfig) -> Option<String> {
+        self.panic_on_volume
+            .contains(&config.volume_resolution)
+            .then(|| {
+                format!(
+                    "injected persistent fault (volume {})",
+                    config.volume_resolution
+                )
+            })
     }
 }
 
@@ -290,91 +66,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_unlimited_single_attempt() {
-        let policy = FaultPolicy::default();
-        assert!(policy.deadline.is_unlimited());
-        assert_eq!(policy.retry.attempts(), 1);
-        assert!(FaultPlan::none().is_inert());
-    }
-
-    #[test]
-    fn retry_policy_counts_total_attempts() {
-        assert_eq!(RetryPolicy::retries(2).attempts(), 3);
-        assert_eq!(RetryPolicy { max_attempts: 0 }.attempts(), 1);
-    }
-
-    #[test]
-    fn plan_decisions_are_deterministic() {
+    fn only_targeted_volumes_panic() {
         let plan = FaultPlan {
-            seed: 42,
-            transient_panic_rate: 0.5,
-            ..FaultPlan::default()
-        };
-        let config = KFusionConfig::fast_test();
-        for key in 0..64u64 {
-            for attempt in 0..4usize {
-                assert_eq!(
-                    plan.injected_panic(&config, key, attempt),
-                    plan.injected_panic(&config, key, attempt)
-                );
-            }
-        }
-        // the rate is roughly honoured over many draws
-        let hits = (0..1000u64)
-            .filter(|&k| plan.injected_panic(&config, k, 0).is_some())
-            .count();
-        assert!((350..650).contains(&hits), "hit rate {hits}/1000");
-    }
-
-    #[test]
-    fn transient_faults_vary_by_attempt_but_persistent_do_not() {
-        let plan = FaultPlan {
-            seed: 7,
-            transient_panic_rate: 0.5,
             panic_on_volume: vec![96],
-            ..FaultPlan::default()
-        };
-        let config = KFusionConfig::fast_test();
-        // some key must fail on attempt 0 and pass on a later attempt
-        let recovers = (0..200u64).any(|k| {
-            plan.injected_panic(&config, k, 0).is_some()
-                && plan.injected_panic(&config, k, 1).is_none()
-        });
-        assert!(recovers, "transient faults must be retryable");
-        let mut cursed = config.clone();
-        cursed.volume_resolution = 96;
-        for attempt in 0..5 {
-            assert!(plan.injected_panic(&cursed, 0, attempt).is_some());
-        }
-    }
-
-    #[test]
-    fn slow_injection_targets_volumes() {
-        let plan = FaultPlan {
-            slow_on_volume: vec![64],
-            slow_frame_penalty_ns: 1_000,
-            ..FaultPlan::default()
         };
         let mut config = KFusionConfig::fast_test();
         config.volume_resolution = 64;
-        assert_eq!(plan.injected_slow_ns(&config), 1_000);
-        config.volume_resolution = 128;
-        assert_eq!(plan.injected_slow_ns(&config), 0);
-    }
-
-    #[test]
-    fn disk_errors_are_deterministic_and_rate_bound() {
-        let plan = FaultPlan {
-            seed: 3,
-            disk_error_rate: 1.0,
-            ..FaultPlan::default()
-        };
-        assert!(plan.injected_disk_error(11, 0));
-        let none = FaultPlan {
-            seed: 3,
-            disk_error_rate: 0.0,
-            ..FaultPlan::default()
-        };
-        assert!(!none.injected_disk_error(11, 0));
+        assert_eq!(plan.injected_panic(&config), None);
+        assert_eq!(FaultPlan::default().injected_panic(&config), None);
+        config.volume_resolution = 96;
+        let cause = plan.injected_panic(&config).unwrap();
+        assert!(cause.contains("injected persistent fault"));
+        let q = QuarantinedConfig { config, cause };
+        assert_eq!(
+            q.to_string(),
+            "quarantined: injected persistent fault (volume 96)"
+        );
     }
 }

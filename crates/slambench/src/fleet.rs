@@ -135,8 +135,7 @@ pub fn fleet_speedups_with_engine(
         // xtask-allow: panic-path — reason: empty datasets / invalid configs violate the fleet study's documented precondition; per-slot failures never reach this arm
         Err(e) => panic!("fleet evaluation failed: {e}"),
     };
-    // a deadline-truncated run still carries a replayable workload
-    // prefix; only a quarantined run makes a phone unreportable
+    // only a quarantined run makes a phone unreportable
     let tuned = &outcomes[0];
     let default_by_vr: BTreeMap<usize, &RunOutcome> =
         volumes.iter().copied().zip(outcomes[1..].iter()).collect();
@@ -144,33 +143,26 @@ pub fn fleet_speedups_with_engine(
     let mut skipped = Vec::new();
     for phone in fleet {
         let vr = memory_capped_volume(default_config.volume_resolution, phone.ram_mb);
-        let reason = if let Some(q) = tuned.failure() {
-            Some(format!("tuned configuration quarantined: {}", q.cause))
-        } else {
-            match default_by_vr.get(&vr) {
-                Some(outcome) => outcome.failure().map(|q| {
-                    format!(
+        let (tuned_run, default_run) = match (tuned, default_by_vr.get(&vr).copied()) {
+            (RunOutcome::Done(t), Some(RunOutcome::Done(d))) => (t, d),
+            (tuned, default) => {
+                let reason = match (tuned, default) {
+                    (RunOutcome::Failed(q), _) => {
+                        format!("tuned configuration quarantined: {}", q.cause)
+                    }
+                    (_, Some(RunOutcome::Failed(q))) => format!(
                         "default configuration at capped volume {vr} quarantined: {}",
                         q.cause
-                    )
-                }),
-                None => Some(format!("no run for capped volume {vr}")),
+                    ),
+                    _ => format!("no run for capped volume {vr}"),
+                };
+                skipped.push(FleetSkip {
+                    index: phone.index,
+                    name: phone.device.name.clone(),
+                    reason,
+                });
+                continue;
             }
-        };
-        if let Some(reason) = reason {
-            skipped.push(FleetSkip {
-                index: phone.index,
-                name: phone.device.name.clone(),
-                reason,
-            });
-            continue;
-        }
-        let (Some(tuned_run), Some(default_run)) = (
-            tuned.run(),
-            default_by_vr.get(&vr).and_then(|outcome| outcome.run()),
-        ) else {
-            // unreachable: the reason check above covered both failures
-            continue;
         };
         let default_s = default_run
             .cost_on_sustained(&phone.device)

@@ -21,9 +21,9 @@
 //! configurations (Figure 2) tractable.
 //!
 //! There is one way to run an evaluation: the [`engine::EvalEngine`]. It
-//! carries the algorithm, the tracer and the fault policy, keeps a
-//! content-addressed run cache (keyed by algorithm, dataset identity and
-//! the algorithmic configuration bits), and its
+//! carries the algorithm and the tracer, keeps a content-addressed run
+//! cache (keyed by algorithm, dataset identity and the algorithmic
+//! configuration bits), and its
 //! [`engine::EvalEngine::evaluate_batch`] schedules independent pipeline
 //! runs concurrently on the shared worker pool while staying
 //! bit-identical to serial evaluation. The driver that steps an
@@ -107,7 +107,7 @@ pub use explore::{
     explore_until, explore_with_engine, measure, random_sweep_with_engine, ExploreOptions,
     ExploreOutcome, MeasuredConfig, RandomSweepOutcome, RecordedEval,
 };
-pub use fault::{Deadline, FaultPlan, FaultPolicy, MockRunClock, QuarantinedConfig, RetryPolicy};
+pub use fault::{FaultPlan, QuarantinedConfig};
 pub use fleet::{fleet_speedups_with_engine, FleetEntry, FleetOutcome, FleetSkip};
 pub use run::{DeviceRunReport, FrameRecord, PipelineRun};
 pub use suite::{

@@ -1,6 +1,5 @@
 //! Running the pipeline over a dataset and costing the result on devices.
 
-use crate::fault::Deadline;
 use serde::{Deserialize, Serialize};
 use slam_kfusion::{AlgoId, FrameWorkload, KFusionConfig, Kernel};
 use slam_math::Se3;
@@ -8,7 +7,7 @@ use slam_metrics::ate::{ate, AteOptions, AteResult};
 use slam_metrics::timing::SequenceTiming;
 use slam_power::{DeviceModel, RunCost};
 use slam_scene::dataset::SyntheticDataset;
-use slam_trace::{Clock, Tracer};
+use slam_trace::Tracer;
 
 /// Per-frame outcome of a pipeline run (device independent).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -129,66 +128,8 @@ impl DeviceRunReport {
     }
 }
 
-/// How a guarded run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunStatus {
-    /// Every frame of the dataset was processed.
-    Completed,
-    /// The per-run [`Deadline`] fired: the run holds only the completed
-    /// prefix of the dataset, and its ATE is computed over that prefix.
-    TimedOut {
-        /// Frames fully processed before the budget ran out.
-        frames_completed: usize,
-    },
-}
-
-/// A [`PipelineRun`] plus how it ended. Produced by
-/// [`run_algorithm_guarded`]; orchestrators treat a timed-out run as a
-/// degraded (lost-tracking-grade) measurement rather than an error.
-#[derive(Debug, Clone)]
-pub(crate) struct GuardedRun {
-    /// The (possibly partial) run.
-    pub run: PipelineRun,
-    /// Whether the deadline cut the run short.
-    pub status: RunStatus,
-}
-
-/// Options for [`run_algorithm_guarded`].
-///
-/// The default is the zero-overhead path: no deadline, no clock reads,
-/// no tracing.
-pub(crate) struct GuardOptions<'a> {
-    /// Span/counter sink (disabled by default).
-    pub tracer: &'a Tracer,
-    /// Time source for the wall budget. Required when
-    /// [`Deadline::max_wall_ns`] is set; never read otherwise, so the
-    /// no-wall-deadline path stays deterministic and free.
-    pub clock: Option<&'a dyn Clock>,
-    /// Per-run budget.
-    pub deadline: Deadline,
-    /// Injected extra nanoseconds charged against the wall budget per
-    /// processed frame — how the fault plan simulates a slow run on a
-    /// deterministic clock.
-    pub slow_frame_penalty_ns: u64,
-}
-
-impl Default for GuardOptions<'static> {
-    fn default() -> GuardOptions<'static> {
-        GuardOptions {
-            tracer: Tracer::off(),
-            clock: None,
-            deadline: Deadline::none(),
-            slow_frame_penalty_ns: 0,
-        }
-    }
-}
-
-/// Runs one algorithm/configuration under a per-run [`Deadline`]: the
-/// frame budget bounds how many frames are processed, the wall budget
-/// bounds elapsed nanoseconds on the injected clock (plus any injected
-/// slow-run penalty). At least one frame is always processed, so a
-/// timed-out run still carries a usable (if degraded) trajectory prefix
-/// and its ATE.
+/// Runs one algorithm/configuration over every frame of `dataset`,
+/// recording spans and counters into `tracer`.
 ///
 /// This is the single place where the workspace steps a
 /// [`slam_kfusion::SlamAlgorithm`] over a dataset. Only the
@@ -198,77 +139,42 @@ impl Default for GuardOptions<'static> {
 ///
 /// # Panics
 ///
-/// Panics when the dataset is empty or (debug builds) a wall budget is
-/// configured without a clock.
-pub(crate) fn run_algorithm_guarded(
+/// Panics when the dataset is empty.
+pub(crate) fn run_algorithm(
     algorithm: AlgoId,
     dataset: &SyntheticDataset,
     config: &KFusionConfig,
-    opts: &GuardOptions<'_>,
-) -> GuardedRun {
+    tracer: &Tracer,
+) -> PipelineRun {
     assert!(!dataset.is_empty(), "cannot run on an empty dataset");
-    debug_assert!(
-        opts.deadline.max_wall_ns.is_none() || opts.clock.is_some(),
-        "a wall deadline needs a clock"
-    );
-    let frame_cap = opts.deadline.max_frames.unwrap_or(usize::MAX).max(1);
-    let wall = match (opts.deadline.max_wall_ns, opts.clock) {
-        (Some(budget_ns), Some(clock)) => Some((budget_ns, clock, clock.now_ns())),
-        _ => None,
-    };
     let init = dataset.frames()[0].ground_truth;
     let mut alg = algorithm.create(config, *dataset.camera(), init);
-    let mut frames = Vec::with_capacity(dataset.len());
-    let mut penalty_ns: u64 = 0;
-    let mut status = RunStatus::Completed;
-    for frame in dataset.frames() {
-        // budget checks run only once a frame has been processed: a
-        // guarded run always makes progress, however tight the deadline
-        if !frames.is_empty() {
-            if frames.len() >= frame_cap {
-                status = RunStatus::TimedOut {
-                    frames_completed: frames.len(),
-                };
-                break;
+    let frames: Vec<FrameRecord> = dataset
+        .frames()
+        .iter()
+        .map(|frame| {
+            let r = alg.step_frame_traced(&frame.depth_mm, tracer);
+            FrameRecord {
+                index: frame.index,
+                pose: r.pose,
+                ground_truth: frame.ground_truth,
+                tracked: r.tracked,
+                workload: r.workload,
+                wall_time: r.wall_time,
             }
-            if let Some((budget_ns, clock, start_ns)) = wall {
-                let elapsed = clock
-                    .now_ns()
-                    .saturating_sub(start_ns)
-                    .saturating_add(penalty_ns);
-                if elapsed >= budget_ns {
-                    status = RunStatus::TimedOut {
-                        frames_completed: frames.len(),
-                    };
-                    break;
-                }
-            }
-        }
-        let r = alg.step_frame_traced(&frame.depth_mm, opts.tracer);
-        penalty_ns = penalty_ns.saturating_add(opts.slow_frame_penalty_ns);
-        frames.push(FrameRecord {
-            index: frame.index,
-            pose: r.pose,
-            ground_truth: frame.ground_truth,
-            tracked: r.tracked,
-            workload: r.workload,
-            wall_time: r.wall_time,
-        });
-    }
+        })
+        .collect();
     let est: Vec<Se3> = frames.iter().map(|f| f.pose).collect();
     let gt: Vec<Se3> = frames.iter().map(|f| f.ground_truth).collect();
-    // xtask-allow: panic-path — reason: the non-empty assert above plus the at-least-one-frame guarantee give equal-length, non-empty trajectories
+    // xtask-allow: panic-path — reason: the non-empty assert above gives equal-length, non-empty trajectories
     let ate = ate(&est, &gt, AteOptions::default()).expect("non-empty trajectories");
-    GuardedRun {
-        run: PipelineRun {
-            algorithm,
-            config: config.clone(),
-            dataset: dataset.config().name.clone(),
-            frames,
-            ate,
-            lost_frames: alg.lost_frames(),
-        },
-        status,
+    PipelineRun {
+        algorithm,
+        config: config.clone(),
+        dataset: dataset.config().name.clone(),
+        frames,
+        ate,
+        lost_frames: alg.lost_frames(),
     }
 }
 
@@ -278,15 +184,20 @@ mod tests {
     use slam_power::devices::{odroid_xu3, raspberry_pi2};
     use slam_scene::dataset::DatasetConfig;
 
-    fn run(algorithm: AlgoId, dataset: &SyntheticDataset, opts: &GuardOptions<'_>) -> GuardedRun {
-        run_algorithm_guarded(algorithm, dataset, &KFusionConfig::fast_test(), opts)
+    fn run(algorithm: AlgoId, dataset: &SyntheticDataset) -> PipelineRun {
+        run_algorithm(
+            algorithm,
+            dataset,
+            &KFusionConfig::fast_test(),
+            Tracer::off(),
+        )
     }
 
     fn tiny_run() -> PipelineRun {
         let mut dc = DatasetConfig::tiny_test();
         dc.frame_count = 6;
         let dataset = SyntheticDataset::generate(&dc);
-        run(AlgoId::KinectFusion, &dataset, &GuardOptions::default()).run
+        run(AlgoId::KinectFusion, &dataset)
     }
 
     #[test]
@@ -343,7 +254,7 @@ mod tests {
         let mut dc = DatasetConfig::tiny_test();
         dc.frame_count = 0;
         let dataset = SyntheticDataset::generate(&dc);
-        let _ = run(AlgoId::KinectFusion, &dataset, &GuardOptions::default());
+        let _ = run(AlgoId::KinectFusion, &dataset);
     }
 
     #[test]
@@ -352,7 +263,7 @@ mod tests {
         dc.frame_count = 5;
         let dataset = SyntheticDataset::generate(&dc);
         for &algo in &AlgoId::ALL {
-            let run = run(algo, &dataset, &GuardOptions::default()).run;
+            let run = run(algo, &dataset);
             assert_eq!(run.algorithm, algo);
             assert_eq!(run.frames.len(), 5, "{algo} truncated the dataset");
             assert!(
@@ -361,129 +272,5 @@ mod tests {
                 run.ate.max
             );
         }
-    }
-
-    #[test]
-    fn a_budget_that_never_binds_changes_nothing() {
-        let mut dc = DatasetConfig::tiny_test();
-        dc.frame_count = 5;
-        let dataset = SyntheticDataset::generate(&dc);
-        let plain = run(AlgoId::KinectFusion, &dataset, &GuardOptions::default());
-        let clock = slam_trace::MockClock::new(100);
-        let guarded = run(
-            AlgoId::KinectFusion,
-            &dataset,
-            &GuardOptions {
-                clock: Some(&clock),
-                deadline: Deadline {
-                    max_frames: Some(5),
-                    max_wall_ns: Some(1_000_000),
-                },
-                ..GuardOptions::default()
-            },
-        );
-        assert_eq!(plain.status, RunStatus::Completed);
-        assert_eq!(guarded.status, RunStatus::Completed);
-        assert_eq!(guarded.run.frames.len(), plain.run.frames.len());
-        assert_eq!(guarded.run.ate.errors, plain.run.ate.errors);
-        for (a, b) in guarded.run.frames.iter().zip(&plain.run.frames) {
-            assert_eq!(a.pose, b.pose);
-        }
-    }
-
-    #[test]
-    fn frame_deadline_truncates_but_always_progresses() {
-        let mut dc = DatasetConfig::tiny_test();
-        dc.frame_count = 6;
-        let dataset = SyntheticDataset::generate(&dc);
-        let cut = run(
-            AlgoId::KinectFusion,
-            &dataset,
-            &GuardOptions {
-                deadline: Deadline::frames(3),
-                ..GuardOptions::default()
-            },
-        );
-        assert_eq!(
-            cut.status,
-            RunStatus::TimedOut {
-                frames_completed: 3
-            }
-        );
-        assert_eq!(cut.run.frames.len(), 3);
-        assert_eq!(cut.run.ate.errors.len(), 3);
-        // a zero-frame budget still processes one frame
-        let one = run(
-            AlgoId::KinectFusion,
-            &dataset,
-            &GuardOptions {
-                deadline: Deadline::frames(0),
-                ..GuardOptions::default()
-            },
-        );
-        assert_eq!(one.run.frames.len(), 1);
-    }
-
-    #[test]
-    fn wall_deadline_fires_deterministically_on_mock_clock() {
-        let mut dc = DatasetConfig::tiny_test();
-        dc.frame_count = 8;
-        let dataset = SyntheticDataset::generate(&dc);
-        // one clock read at start + one per budget check, 100ns each:
-        // the check before frame k sees elapsed = k * 100
-        let run_with_budget = |budget_ns: u64| {
-            let clock = slam_trace::MockClock::new(100);
-            run(
-                AlgoId::KinectFusion,
-                &dataset,
-                &GuardOptions {
-                    clock: Some(&clock),
-                    deadline: Deadline::wall_ns(budget_ns),
-                    ..GuardOptions::default()
-                },
-            )
-        };
-        let cut = run_with_budget(300);
-        assert_eq!(
-            cut.status,
-            RunStatus::TimedOut {
-                frames_completed: 3
-            }
-        );
-        assert_eq!(cut.run.frames.len(), 3);
-        // same budget, fresh clock: bit-identical truncation point
-        let again = run_with_budget(300);
-        assert_eq!(again.status, cut.status);
-        assert_eq!(again.run.ate.errors, cut.run.ate.errors);
-        // a generous budget completes
-        let full = run_with_budget(1_000_000);
-        assert_eq!(full.status, RunStatus::Completed);
-        assert_eq!(full.run.frames.len(), 8);
-    }
-
-    #[test]
-    fn slow_penalty_charges_against_wall_budget() {
-        let mut dc = DatasetConfig::tiny_test();
-        dc.frame_count = 8;
-        let dataset = SyntheticDataset::generate(&dc);
-        let clock = slam_trace::MockClock::new(100);
-        // base elapsed before frame k is k*100; the penalty adds k*900,
-        // so a 2000ns budget now cuts at frame 2 instead of frame 20
-        let slowed = run(
-            AlgoId::KinectFusion,
-            &dataset,
-            &GuardOptions {
-                clock: Some(&clock),
-                deadline: Deadline::wall_ns(2_000),
-                slow_frame_penalty_ns: 900,
-                ..GuardOptions::default()
-            },
-        );
-        assert_eq!(
-            slowed.status,
-            RunStatus::TimedOut {
-                frames_completed: 2
-            }
-        );
     }
 }

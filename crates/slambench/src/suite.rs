@@ -2,7 +2,7 @@
 //! configuration) pairs and tabulate speed/accuracy/power per cell —
 //! the shape of the original SLAMBench result tables.
 
-use crate::engine::EvalEngine;
+use crate::engine::{EvalEngine, RunOutcome};
 use serde::{Deserialize, Serialize};
 use slam_kfusion::KFusionConfig;
 use slam_math::camera::PinholeCamera;
@@ -285,18 +285,16 @@ pub fn run_suite_with_engine(
             Err(e) => panic!("suite evaluation failed: {e}"),
         };
         for ((label, _), outcome) in configs.iter().zip(&outcomes) {
-            // a deadline-truncated run still yields a (degraded) cell
-            let Some(run) = outcome.run() else {
-                let cause = outcome
-                    .failure()
-                    .map(|q| q.cause.clone())
-                    .unwrap_or_else(|| "run failed".to_string());
-                report.failures.push(SuiteFailure {
-                    sequence: seq.name.clone(),
-                    config: label.clone(),
-                    cause,
-                });
-                continue;
+            let run = match outcome {
+                RunOutcome::Done(run) => run,
+                RunOutcome::Failed(q) => {
+                    report.failures.push(SuiteFailure {
+                        sequence: seq.name.clone(),
+                        config: label.clone(),
+                        cause: q.cause.clone(),
+                    });
+                    continue;
+                }
             };
             let cost = run.cost_on(device);
             report.cells.push(SuiteCell {

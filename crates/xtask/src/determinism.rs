@@ -56,7 +56,7 @@ pub fn lint_entropy_source(src: &SourceFile, out: &mut Vec<Diagnostic>) {
             line: t.line,
             message: format!(
                 "ambient entropy via `{name}`: inject a seeded RNG (`ChaCha…::seed_from_u64`) \
-                 or a `Clock`/`RunClock` handle so the run is replayable"
+                 or a `Clock` handle so the run is replayable"
             ),
         });
     }

@@ -153,11 +153,11 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         id: "XT202",
         name: "entropy-source",
-        summary: "no ambient time or randomness; inject Clock/RunClock or a seeded RNG",
+        summary: "no ambient time or randomness; inject a Clock or a seeded RNG",
         explain: "`thread_rng`, `from_entropy`, `OsRng`, `rand::random` and \
                   `SystemTime` smuggle ambient entropy into an evaluation, so two runs \
                   of the same configuration stop being comparable. All randomness is \
-                  seeded and all time is injected (`Clock`, `RunClock`, `MockClock`) \
+                  seeded and all time is injected (`Clock`, `MockClock`) \
                   so every experiment in the paper reproduction is replayable.",
     },
     LintInfo {

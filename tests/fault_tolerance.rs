@@ -1,23 +1,22 @@
-//! Fault-tolerant evaluation: injected run panics, deadlines, retry and
-//! quarantine, disk-cache IO errors, and resuming a killed sweep from
-//! the disk cache. Every fault here comes from a seeded [`FaultPlan`], so each
-//! scenario is bit-reproducible at any thread count.
+//! Fault-tolerant evaluation: injected run panics and quarantine, real
+//! disk-cache IO errors, and resuming a killed sweep from the disk cache.
+//! Every injected panic comes from a [`FaultPlan`] that targets volume
+//! resolutions, so each scenario is bit-reproducible at any thread count.
 
 use slam_kfusion::{AlgoId, KFusionConfig};
 use slam_power::devices::odroid_xu3;
 use slam_power::fleet::phone_fleet;
 use slam_scene::dataset::{DatasetConfig, SyntheticDataset};
 use slam_scene::noise::DepthNoiseModel;
-use slambench::engine::{EvalEngine, RunOutcome};
+use slambench::engine::{run_fingerprint, EvalEngine, RunOutcome};
 use slambench::explore::{
     explore_until, explore_with_engine, measure, random_sweep_with_engine, ExploreOptions,
 };
-use slambench::fault::{Deadline, FaultPlan, FaultPolicy, MockRunClock, RetryPolicy};
+use slambench::fault::FaultPlan;
 use slambench::fleet::{fleet_speedups_with_engine, memory_capped_volume};
 use slambench::suite::{run_suite_with_engine, standard_suite, SuiteError};
 use slambench::{config_space::encode_for, ExploreOutcome};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 fn tiny_dataset(frames: usize) -> SyntheticDataset {
     let mut dc = DatasetConfig::tiny_test();
@@ -48,7 +47,6 @@ fn injected_panic_fails_only_its_slot_and_engine_survives() {
     let dataset = tiny_dataset(3);
     let engine = EvalEngine::new().with_fault_plan(FaultPlan {
         panic_on_volume: vec![96],
-        ..FaultPlan::default()
     });
     let configs = [
         config_with_volume(32),
@@ -61,7 +59,6 @@ fn injected_panic_fails_only_its_slot_and_engine_survives() {
     assert!(outcomes[2].is_done());
     let q = outcomes[1].failure().unwrap();
     assert_eq!(q.config.volume_resolution, 96);
-    assert_eq!(q.attempts, 1);
     assert!(q.cause.contains("injected persistent fault"));
     let stats = engine.stats();
     assert_eq!(stats.failed, 1);
@@ -79,7 +76,6 @@ fn batch_api_surfaces_a_failed_slot_as_a_typed_error() {
     let dataset = tiny_dataset(3);
     let engine = EvalEngine::new().with_fault_plan(FaultPlan {
         panic_on_volume: vec![96],
-        ..FaultPlan::default()
     });
     let configs = [config_with_volume(32), config_with_volume(96)];
     let outcomes = engine.evaluate_batch(&dataset, &configs).unwrap();
@@ -96,7 +92,6 @@ fn quarantined_configs_fail_fast_on_later_requests() {
     let dataset = tiny_dataset(3);
     let engine = EvalEngine::new().with_fault_plan(FaultPlan {
         panic_on_volume: vec![96],
-        ..FaultPlan::default()
     });
     let cursed = [config_with_volume(96)];
     let first = engine.evaluate_batch(&dataset, &cursed).unwrap();
@@ -104,169 +99,13 @@ fn quarantined_configs_fail_fast_on_later_requests() {
     assert_eq!(engine.stats().misses, 1);
 
     // the second request is answered from the quarantine record: no
-    // execution, no retry, same typed outcome
+    // execution, same typed outcome
     let second = engine.evaluate_batch(&dataset, &cursed).unwrap();
     assert!(second[0].failure().is_some());
     let stats = engine.stats();
     assert_eq!(stats.misses, 1, "quarantine must prevent re-execution");
     assert_eq!(stats.quarantined, 1);
     assert_eq!(engine.quarantined().len(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// retry: transient faults recover deterministically
-// ---------------------------------------------------------------------------
-
-#[test]
-fn transient_fault_recovers_via_retry_and_result_is_unaffected() {
-    let dataset = tiny_dataset(3);
-    let config = config_with_volume(32);
-    let clean = EvalEngine::new().evaluate(&dataset, &config);
-
-    // scan seeds for one whose first attempt panics and second succeeds;
-    // each seed's behaviour is deterministic, so the scan is stable
-    let mut recovered_seed = None;
-    for seed in 0..64 {
-        let engine = EvalEngine::new()
-            .with_policy(FaultPolicy {
-                retry: RetryPolicy::retries(1),
-                ..FaultPolicy::default()
-            })
-            .with_fault_plan(FaultPlan {
-                seed,
-                transient_panic_rate: 0.5,
-                ..FaultPlan::default()
-            });
-        let outcomes = engine
-            .evaluate_batch(&dataset, std::slice::from_ref(&config))
-            .unwrap();
-        // retries == 1 alone also matches "retried and failed again";
-        // demand the retry actually recovered the run
-        if engine.stats().retries == 1 && outcomes[0].is_done() {
-            let run = outcomes[0].run().unwrap();
-            // the retried run is bit-identical to a fault-free one
-            assert_eq!(run.ate.errors, clean.ate.errors);
-            assert_eq!(engine.stats().failed, 0);
-            recovered_seed = Some(seed);
-            break;
-        }
-    }
-    let seed = recovered_seed.unwrap();
-
-    // same seed, fresh engine: the exact same fault pattern replays
-    let engine = EvalEngine::new()
-        .with_policy(FaultPolicy {
-            retry: RetryPolicy::retries(1),
-            ..FaultPolicy::default()
-        })
-        .with_fault_plan(FaultPlan {
-            seed,
-            transient_panic_rate: 0.5,
-            ..FaultPlan::default()
-        });
-    let _ = engine.evaluate(&dataset, &config);
-    assert_eq!(engine.stats().retries, 1);
-}
-
-#[test]
-fn persistent_fault_exhausts_retries_and_counts_attempts() {
-    let dataset = tiny_dataset(3);
-    let engine = EvalEngine::new()
-        .with_policy(FaultPolicy {
-            retry: RetryPolicy::retries(2),
-            ..FaultPolicy::default()
-        })
-        .with_fault_plan(FaultPlan {
-            panic_on_volume: vec![96],
-            ..FaultPlan::default()
-        });
-    let outcomes = engine
-        .evaluate_batch(&dataset, &[config_with_volume(96)])
-        .unwrap();
-    let q = outcomes[0].failure().unwrap();
-    assert_eq!(q.attempts, 3, "all allowed attempts must be consumed");
-    let stats = engine.stats();
-    assert_eq!(stats.retries, 2);
-    assert_eq!(stats.failed, 1);
-}
-
-// ---------------------------------------------------------------------------
-// deadlines: runaway configurations are cut off deterministically
-// ---------------------------------------------------------------------------
-
-#[test]
-fn wall_deadline_times_out_runs_deterministically_on_mock_clock() {
-    let dataset = tiny_dataset(6);
-    let make_engine = || {
-        EvalEngine::new()
-            .with_policy(FaultPolicy {
-                deadline: Deadline::wall_ns(300),
-                ..FaultPolicy::default()
-            })
-            .with_run_clock(Arc::new(MockRunClock { step_ns: 100 }))
-    };
-    let engine = make_engine();
-    let outcomes = engine
-        .evaluate_batch(&dataset, &[config_with_volume(32)])
-        .unwrap();
-    let RunOutcome::TimedOut(run) = &outcomes[0] else {
-        unreachable!("expected TimedOut, got {:?}", outcomes[0]);
-    };
-    // per-run clock: one read at start + one per budget check, 100 ns
-    // each → the check before frame 3 sees 300 ns elapsed
-    assert_eq!(run.frames.len(), 3);
-    assert_eq!(engine.stats().timed_out, 1);
-
-    // timed-out runs are never cached: a later request re-evaluates
-    let again = engine
-        .evaluate_batch(&dataset, &[config_with_volume(32)])
-        .unwrap();
-    assert!(matches!(again[0], RunOutcome::TimedOut(_)));
-    assert_eq!(engine.stats().misses, 2);
-    assert_eq!(engine.stats().hits, 0);
-
-    // a fresh engine with the same mock clock truncates identically,
-    // even with the batch running other slots concurrently
-    let batch = [
-        config_with_volume(32),
-        config_with_volume(64),
-        config_with_volume(96),
-    ];
-    let concurrent = make_engine().evaluate_batch(&dataset, &batch).unwrap();
-    for outcome in &concurrent {
-        let RunOutcome::TimedOut(r) = outcome else {
-            unreachable!("expected TimedOut, got {outcome:?}");
-        };
-        assert_eq!(r.frames.len(), 3);
-    }
-    assert_eq!(concurrent[0].run().unwrap().ate.errors, run.ate.errors);
-}
-
-#[test]
-fn slow_run_injection_trips_the_deadline_only_for_targeted_volumes() {
-    let dataset = tiny_dataset(6);
-    let engine = EvalEngine::new()
-        .with_policy(FaultPolicy {
-            deadline: Deadline::wall_ns(2_000),
-            ..FaultPolicy::default()
-        })
-        .with_run_clock(Arc::new(MockRunClock { step_ns: 100 }))
-        .with_fault_plan(FaultPlan {
-            slow_on_volume: vec![64],
-            slow_frame_penalty_ns: 900,
-            ..FaultPlan::default()
-        });
-    let outcomes = engine
-        .evaluate_batch(&dataset, &[config_with_volume(64), config_with_volume(32)])
-        .unwrap();
-    // slowed: elapsed before frame k is k*(100+900) → cut at frame 2
-    let RunOutcome::TimedOut(slowed) = &outcomes[0] else {
-        unreachable!("expected TimedOut, got {:?}", outcomes[0]);
-    };
-    assert_eq!(slowed.frames.len(), 2);
-    // untargeted volume: 5 checks * 100 ns stays inside the budget
-    assert!(outcomes[1].is_done());
-    assert_eq!(outcomes[1].run().unwrap().frames.len(), 6);
 }
 
 // ---------------------------------------------------------------------------
@@ -277,40 +116,46 @@ fn slow_run_injection_trips_the_deadline_only_for_targeted_volumes() {
 fn disk_io_errors_degrade_to_cache_misses() {
     let dataset = tiny_dataset(3);
     let config = config_with_volume(32);
-    let dir = scratch_dir("diskerr");
-    let faulty_plan = FaultPlan {
-        seed: 5,
-        disk_error_rate: 1.0,
-        ..FaultPlan::default()
-    };
+    let clean = EvalEngine::new().evaluate(&dataset, &config);
 
-    // every store fails: nothing lands on disk, results are unaffected
-    let writer = EvalEngine::with_disk_cache(&dir).with_fault_plan(faulty_plan.clone());
-    let first = writer.evaluate(&dataset, &config);
-    assert!(
-        !dir.exists() || std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0) == 0,
-        "injected store errors must suppress persistence"
-    );
-
-    // a healthy engine persists; a faulty reader then treats every load
-    // as a miss and silently re-evaluates to the identical run
-    let healthy = EvalEngine::with_disk_cache(&dir);
-    let persisted = healthy.evaluate(&dataset, &config);
-    assert_eq!(persisted.ate.errors, first.ate.errors);
-    let reader = EvalEngine::with_disk_cache(&dir).with_fault_plan(faulty_plan);
+    // a cache "directory" that is a regular file: every store fails and
+    // persists nothing, yet the run comes back, and a reader misses
+    let file = scratch_dir("diskerr-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let writer = EvalEngine::with_disk_cache(&file);
+    let run = writer.evaluate(&dataset, &config);
+    assert_eq!(run.ate.errors, clean.ate.errors);
+    assert_eq!(std::fs::read_to_string(&file).unwrap(), "not a directory");
+    let reader = EvalEngine::with_disk_cache(&file);
     let reread = reader.evaluate(&dataset, &config);
-    assert_eq!(reread.ate.errors, first.ate.errors);
-    let stats = reader.stats();
-    assert_eq!(
-        stats.disk_hits, 0,
-        "injected load errors must read as misses"
-    );
-    assert_eq!(stats.misses, 1);
+    assert_eq!(reread.ate.errors, clean.ate.errors);
+    assert_eq!(reader.stats().disk_hits, 0);
+    assert_eq!(reader.stats().misses, 1);
+    let _ = std::fs::remove_file(&file);
 
-    // without injection the same file serves a disk hit
-    let clean_reader = EvalEngine::with_disk_cache(&dir);
-    let _ = clean_reader.evaluate(&dataset, &config);
-    assert_eq!(clean_reader.stats().disk_hits, 1);
+    // a directory at the entry's path: the load reads as a miss that
+    // re-runs to the identical run, and the failed store leaves the
+    // directory (and no temp file) behind
+    let dir = scratch_dir("diskerr-dir");
+    let fingerprint = run_fingerprint(AlgoId::KinectFusion, &dataset, &config);
+    let entry = dir.join(format!("{fingerprint:016x}.json"));
+    std::fs::create_dir_all(&entry).unwrap();
+    let blocked = EvalEngine::with_disk_cache(&dir);
+    let rerun = blocked.evaluate(&dataset, &config);
+    assert_eq!(rerun.ate.errors, clean.ate.errors);
+    assert_eq!(blocked.stats().disk_hits, 0);
+    assert_eq!(blocked.stats().misses, 1);
+    assert!(entry.is_dir());
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+
+    // once the path is free the same directory persists and serves a
+    // disk hit
+    std::fs::remove_dir(&entry).unwrap();
+    let _ = EvalEngine::with_disk_cache(&dir).evaluate(&dataset, &config);
+    let warm = EvalEngine::with_disk_cache(&dir);
+    let hit = warm.evaluate(&dataset, &config);
+    assert_eq!(warm.stats().disk_hits, 1);
+    assert_eq!(hit.ate.errors, clean.ate.errors);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -359,7 +204,6 @@ fn explore_reports_quarantined_configs_and_keeps_sweeping() {
     // there quarantine, the sweep and the baseline still complete
     let engine = EvalEngine::new().with_fault_plan(FaultPlan {
         panic_on_volume: vec![32, 64, 96, 128, 192],
-        ..FaultPlan::default()
     });
     let outcome = explore_with_engine(&engine, &dataset, &odroid_xu3(), &ExploreOptions::fast());
     assert!(
@@ -381,7 +225,6 @@ fn random_sweep_reports_a_quarantined_draw_and_keeps_sweeping() {
     let device = odroid_xu3();
     let plan = FaultPlan {
         panic_on_volume: vec![64],
-        ..FaultPlan::default()
     };
     let (n, seed) = (12, 5);
     let engine = EvalEngine::new().with_fault_plan(plan.clone());
@@ -410,7 +253,6 @@ fn fleet_skips_phones_behind_a_quarantined_run_with_reasons() {
     // default run and are skipped; full-volume phones report normally
     let engine = EvalEngine::new().with_fault_plan(FaultPlan {
         panic_on_volume: vec![64, 96, 128],
-        ..FaultPlan::default()
     });
     let outcome = fleet_speedups_with_engine(&engine, &dataset, &default_cfg, &tuned_cfg, &fleet);
     assert_eq!(outcome.entries.len() + outcome.skipped.len(), fleet.len());
@@ -442,7 +284,6 @@ fn suite_reports_failed_cells_and_fills_the_rest() {
     ];
     let engine = EvalEngine::new().with_fault_plan(FaultPlan {
         panic_on_volume: vec![96],
-        ..FaultPlan::default()
     });
     let report = run_suite_with_engine(&engine, sequences, &configs, &odroid_xu3());
     assert_eq!(report.cells.len(), 2);
@@ -519,7 +360,6 @@ fn suspended_random_sweep_resumes_bit_identically_across_failures() {
     let device = odroid_xu3();
     let plan = FaultPlan {
         panic_on_volume: vec![96, 128],
-        ..FaultPlan::default()
     };
     let (n, seed) = (10, 77);
     let engine = || EvalEngine::new().with_fault_plan(plan.clone());
